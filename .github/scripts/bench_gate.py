@@ -14,10 +14,12 @@ degrading to the serial path — trips the gate, not CI-runner noise.
 Keys absent from a report fail its gate too (a silently dropped column is
 itself a regression).
 
-One floor is host-conditional: `arch_speedup` (hand-written AVX2 kernels vs
-the portable lane programs) is only gated when the report itself records
+Two floors are host-conditional: `f32_arch_speedup` and `f64_arch_speedup`
+(the hand-written AVX2 float plan evaluator vs the portable lane programs,
+one leg per float family) are only gated when the report itself records
 `avx2_detected = 1` — on hosts without AVX2 the arch section is legitimately
-empty and the column reads 0.0.
+empty and the columns read 0.0. Each family is gated on its own, so one leg
+cannot hide behind a faster one.
 
 Usage: bench_gate.py [path-to-BENCH_*.json]
 """
@@ -79,12 +81,13 @@ def main():
         report = json.load(f)
     floors = dict(floors)
     if os.path.basename(path) == "BENCH_lowering.json":
-        # The explicit-AVX2 kernel floor only applies when the benchmarking
+        # The explicit-AVX2 plan floors only apply when the benchmarking
         # host actually had AVX2; the report records what it detected.
         if report.get("avx2_detected") == 1:
-            floors["arch_speedup"] = 1.1
+            floors["f32_arch_speedup"] = 1.1
+            floors["f64_arch_speedup"] = 1.1
         else:
-            print("note: avx2_detected != 1, arch_speedup not gated")
+            print("note: avx2_detected != 1, *_arch_speedup not gated")
     found, failures = set(), []
     walk(report, "", floors, found, failures)
     for key in sorted(set(floors) - found):

@@ -248,10 +248,11 @@ fn lane_family_split(
     (scalar, simd, best_width, speedup)
 }
 
-/// Portable lane loops vs the hand-written AVX2 `core::arch` kernels on one
-/// compiled shape: assert the arch path really executes (run-time counter —
-/// equality alone would be vacuous under silent fallback) and is
-/// bit-identical to the portable lanes, then time warm runs of both. Returns
+/// Portable lane loops vs the hand-written AVX2 `core::arch` plan evaluator
+/// on one compiled float shape: assert the arch path really executes
+/// (run-time counter — equality alone would be vacuous under silent
+/// fallback) and is bit-identical to the portable lanes, then time warm runs
+/// of both. Returns
 /// `(portable, arch, speedup)`, or `None` on hosts without AVX2.
 fn arch_split(
     name: &str,
@@ -532,10 +533,11 @@ fn write_report(reps: usize, width: usize, height: usize) {
         "f64",
         reps,
     );
-    // The explicit AVX2 core::arch kernels vs the portable lane loops, on
-    // the same fused shapes (oracle-verified + counter-guarded inside the
-    // split). `arch_speedup` is the best demonstrated arch win; 0.0 with
-    // `avx2_detected: 0` means the host has no AVX2 and the column is moot.
+    // The AVX2 float plan evaluator vs the portable lane loops, per float
+    // family, on the same fused shapes (oracle-verified + counter-guarded
+    // inside the split). Each family records its own `*_arch_speedup`; 0.0
+    // with `avx2_detected: 0` means the host has no AVX2 and the columns are
+    // moot. Integer kernels have no arch path, so there is no integer leg.
     let avx2_detected = Target::detect().has(Feature::Avx2);
     // Dedicated grid for the arch splits, even in smoke mode: the smoke grid
     // is small enough that fixed per-run overhead hides the kernel delta the
@@ -563,22 +565,8 @@ fn write_report(reps: usize, width: usize, height: usize) {
             reps.max(30),
         )
     };
-    let arch_i32 = {
-        let (chain_p, chain_in) = pointwise_chain_pipeline(hw, hh, 4, 0xC4A1);
-        arch_split(
-            "chain_i32_arch",
-            &chain_p,
-            "in",
-            &chain_in,
-            &[hw, hh],
-            reps.max(30),
-        )
-    };
-    let arch_speedup = [arch_f32, arch_f64, arch_i32]
-        .iter()
-        .flatten()
-        .map(|(_, _, sp)| *sp)
-        .fold(0.0f64, f64::max);
+    let arch_speedup = |split: Option<(Duration, Duration, f64)>| split.map_or(0.0, |s| s.2);
+    let (f32_arch_speedup, f64_arch_speedup) = (arch_speedup(arch_f32), arch_speedup(arch_f64));
 
     // Lowered reductions: pipelines whose hot path is an update definition,
     // run end-to-end compiled (no `run_update`) against the interpreter.
@@ -651,15 +639,14 @@ fn write_report(reps: usize, width: usize, height: usize) {
         d_simd.as_nanos(),
     );
     let arch_entries = [
-        ("smooth_f32_arch", arch_f32),
-        ("smooth_f64_arch", arch_f64),
-        ("chain_i32_arch", arch_i32),
+        ("smooth_f32_arch", "f32", arch_f32),
+        ("smooth_f64_arch", "f64", arch_f64),
     ]
     .iter()
-    .filter_map(|(n, v)| {
-        v.map(|(p, a, _)| {
+    .filter_map(|(n, family, v)| {
+        v.map(|(p, a, sp)| {
             format!(
-                "    {{\"pipeline\": \"{n}\", \"portable_ns\": {}, \"arch_ns\": {}}}",
+                "    {{\"pipeline\": \"{n}\", \"family\": \"{family}\", \"portable_ns\": {}, \"arch_ns\": {}, \"{family}_arch_speedup\": {sp:.3}}}",
                 p.as_nanos(),
                 a.as_nanos()
             )
@@ -669,7 +656,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
     .join(",\n");
 
     let json = format!(
-        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"arch\": [\n{arch_entries}\n  ],\n  \"avx2_detected\": {},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"arch_speedup\": {arch_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n",
+        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"arch\": [\n{arch_entries}\n  ],\n  \"avx2_detected\": {},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"f32_arch_speedup\": {f32_arch_speedup:.3},\n  \"f64_arch_speedup\": {f64_arch_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n",
         u8::from(avx2_detected),
     );
     // Anchor at the workspace root regardless of the bench's working dir.

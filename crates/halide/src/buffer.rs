@@ -30,8 +30,34 @@ pub fn read_scalar(ty: ScalarType, bytes: &[u8]) -> Value {
     }
 }
 
+/// `v`, with any NaN replaced by the one quiet NaN every float store writes.
+///
+/// When both operands of a float add or multiply are NaN, which payload (and
+/// sign) the result carries depends on operand order, and LLVM may commute
+/// those operands differently in each execution tier. Canonical stores keep
+/// the bytes of every tier identical.
+#[inline]
+pub(crate) fn canonical_f32(v: f32) -> f32 {
+    if v.is_nan() {
+        f32::from_bits(0x7FC0_0000)
+    } else {
+        v
+    }
+}
+
+/// The `f64` twin of [`canonical_f32`].
+#[inline]
+pub(crate) fn canonical_f64(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::from_bits(0x7FF8_0000_0000_0000)
+    } else {
+        v
+    }
+}
+
 /// Encode `value` as a scalar of type `ty` into little-endian `bytes`,
-/// casting with C semantics first.
+/// casting with C semantics first. Float NaNs are stored as one canonical
+/// quiet NaN, like every other float store of the engine.
 ///
 /// # Panics
 /// Panics if `bytes` is shorter than `ty.bytes()`.
@@ -43,8 +69,10 @@ pub fn write_scalar(ty: ScalarType, value: Value, bytes: &mut [u8]) {
         ScalarType::UInt32 => bytes[..4].copy_from_slice(&(v.as_i64() as u32).to_le_bytes()),
         ScalarType::UInt64 => bytes[..8].copy_from_slice(&(v.as_i64() as u64).to_le_bytes()),
         ScalarType::Int32 => bytes[..4].copy_from_slice(&(v.as_i64() as i32).to_le_bytes()),
-        ScalarType::Float32 => bytes[..4].copy_from_slice(&(v.as_f64() as f32).to_le_bytes()),
-        ScalarType::Float64 => bytes[..8].copy_from_slice(&v.as_f64().to_le_bytes()),
+        ScalarType::Float32 => {
+            bytes[..4].copy_from_slice(&canonical_f32(v.as_f64() as f32).to_le_bytes())
+        }
+        ScalarType::Float64 => bytes[..8].copy_from_slice(&canonical_f64(v.as_f64()).to_le_bytes()),
     }
 }
 

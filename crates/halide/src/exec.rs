@@ -6,7 +6,7 @@
 //! 1. **Fused SIMD lane kernels.** At [`prepare`] time each store under a
 //!    vectorized innermost loop is additionally compiled — when its loads
 //!    are affine in the loop variables and contiguous (or invariant) along
-//!    the lane dimension — into a single fused kernel over one of three
+//!    the lane dimension — into a single fused kernel over one of four
 //!    *lane families*, each with its own bit-exactness invariant:
 //!
 //!    | family      | lanes per chunk  | outputs            | exactness invariant |
@@ -14,10 +14,17 @@
 //!    | `[i32; W]`  | `W` ∈ {8,16,32}  | ≤ 32-bit integers  | lanes hold the low 32 bits of the reference `i64` value; wrapping/bitwise ops are low-bit homomorphic, value-sensitive ops (shifts, min/max, compares, selects) only emitted when interval analysis proves the 32-bit result exact |
 //!    | `[i64; W/2]`| `W/2` ∈ {4,8,16} | any integer (incl. `UInt64`) | lanes *are* the reference `i64` value — every emitted op replicates [`eval_binop`] integer semantics verbatim, so no wrap proofs are needed (they would be vacuous) |
 //!    | `[f32; W]`  | `W` ∈ {8,16,32}  | `Float32`          | lanes hold values bit-exactly representable in `f32`; arithmetic is only emitted at *rounding points* (an enclosing `cast<float>` or the store's own narrowing), where a single `f32` rounding of exact-`f32` operands equals the reference's compute-in-`f64`-then-round (innocuous double rounding: 53 ≥ 2·24 + 2 significant bits, for +, −, ×, ÷ and sqrt) |
+//!    | `[f64; W/2]`| `W/2` ∈ {4,8,16} | `Float64`          | lanes *are* the reference `f64` value — every op is the reference op, so no rounding discipline is needed; integer and `Float32` taps widen exactly (integers proven within ±2^53) |
 //!
 //!    Integer stores try the `[i32; W]` family first and fall back to
 //!    `[i64; W/2]` when the 32-bit proofs fail, so wide-valued idioms (64-bit
 //!    histogram bins, unprovable shifts) still fuse at half throughput.
+//!    Only admissibility is family-specific (the builders `fuse`, `fuse64`,
+//!    `fuse_f32`, `fuse_f64`). Execution is one generic code path over a
+//!    `Lane` trait: one tap loader, one integer evaluator for `VOp`
+//!    programs, one float evaluator for `FOp` programs, one chunk store and
+//!    one tree-sum. The families differ only in the trait items: the lane
+//!    ramp, the byte codec, and f32's min/max through f64.
 //!    The kernels evaluate fixed-width chunks with constant trip counts that
 //!    LLVM reliably turns into SIMD, loading taps as straight slices with
 //!    *no per-lane clamping* and storing whole chunks contiguously. Narrow
@@ -113,18 +120,23 @@
 //!
 //! Backend selection is a [`Target`]: an execution [`Tier`] (pin the fused
 //! tier on or off, or let the runner choose) plus the ISA [`Feature`]s the
-//! fused kernels may exploit. The `arch` module hand-writes AVX2
-//! `core::arch` chunk evaluators for the hottest shapes — Axpy tap
-//! accumulation, shift/mul-by-constant, clamp/min/max, and the tree-reduce —
+//! fused kernels may exploit. The one ISA-specific path is the `arch`
+//! module's AVX2 plan evaluator for float kernels with at most `A_TAPS`
+//! taps: it runs the pre-fused `AOp` plan register-resident, which is
+//! where hand-written intrinsics measurably beat the portable lanes. It is
 //! dispatched when the resolved target carries [`Feature::Avx2`] *and*
 //! `is_x86_feature_detected!("avx2")` confirms it at run time
-//! ([`Target::effective_isa`]); the portable constant-trip lane loops remain
-//! both the fallback and the bit-exactness oracle. Integer arch kernels are
-//! exact by construction (wrapping semantics); float arch kernels cover only
+//! ([`Target::effective_isa`]). Integer kernels, reductions and wider float
+//! kernels have no arch path: LLVM vectorizes the generic evaluators as well
+//! as the intrinsics did. The portable evaluators remain both the fallback
+//! and the bit-exactness oracle. The plan evaluator vectorizes only the
 //! IEEE-exact single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/`Sqrt`), leaving
 //! `Min`/`Max`/`Cmp` on the scalar reference path because `_mm256_min_ps`
-//! NaN/±0 semantics differ from Rust's. A target is resolved once at
-//! compile time ([`crate::compile::CompileOptions::target`], defaulting to
+//! NaN/±0 semantics differ from Rust's. Float stores write NaN canonical in
+//! every tier (`buffer::canonical_f32`), because which NaN an add
+//! of two NaNs yields depends on an operand order LLVM may commute. A
+//! target is resolved once at compile time
+//! ([`crate::compile::CompileOptions::target`], defaulting to
 //! [`Target::current`] — env pins live in [`Target::from_env`]) and every
 //! dispatch site reads that one value.
 //!
@@ -149,16 +161,17 @@
 //! vectorized (privatized) lane batch touches pairwise-disjoint cells.
 
 use crate::bounds::{combine, expr_interval, f64_is_f32_exact, Interval};
-use crate::buffer::Buffer;
+use crate::buffer::{canonical_f32, canonical_f64, Buffer};
 use crate::eval::{eval_expr, EvalSources};
 use crate::expr::{eval_binop, eval_cmp, BinOp, CmpOp, Expr, ExternCall};
 use crate::realize::RealizeError;
 use crate::stmt::{
     access_contiguous_in, access_invariant_in, value_reads_buffer, AffineIndex, LoopKind, Stmt,
 };
-use crate::target::{set_target_override, Isa, Target, Tier};
+use crate::target::{Isa, Target, Tier};
 use crate::types::{ScalarType, Value};
 use std::collections::BTreeMap;
+use std::ops::{Add, BitAnd, BitOr, BitXor, Div, Mul, Shr, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of lanes evaluated per dispatch of the per-op typed tier, and the
@@ -176,6 +189,11 @@ pub const MAX_CHUNK: usize = 32;
 /// accumulation is peephole-fused) use the per-op tier.
 const V_STACK: usize = 8;
 
+/// Most taps a float kernel may have and still get an arch plan (see
+/// [`AOp`]): the AVX2 plan evaluator stages every tap of a chunk up front.
+/// Kernels with more taps run the portable evaluator under every target.
+const A_TAPS: usize = 16;
+
 /// Cap on `workers × Σ merged-buffer cells` for parallel-reduce deferred
 /// accumulation: beyond this the private side buffers would cost more than
 /// the reduction saves, so the nest degrades to the serial reference path.
@@ -184,22 +202,6 @@ const MERGE_MAX_CELLS: usize = 4 << 20;
 // ---------------------------------------------------------------------------
 // Execution-tier selection
 // ---------------------------------------------------------------------------
-
-/// Legacy tier knob, superseded by [`Target`] / [`Tier`]. Retained as a shim
-/// so existing callers keep compiling; [`set_simd_mode`] maps it onto a
-/// process-wide [`Target`] override.
-#[deprecated(note = "use `Target` / `Tier` (see `helium_halide::target`)")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdMode {
-    /// Fused kernels run under vectorized loops; everything else uses the
-    /// per-op tier.
-    Auto,
-    /// Never use fused kernels (the per-op lane tier handles every store).
-    ForceScalar,
-    /// Use fused kernels wherever one was compiled, even under serial
-    /// innermost loops (which then run [`MAX_LANES`]-wide chunks).
-    ForceSimd,
-}
 
 /// Rows (innermost-loop executions) that ran the fused-kernel interior path,
 /// for observability and tests.
@@ -228,41 +230,12 @@ static WINDOW_ROWS_REUSED: AtomicU64 = AtomicU64::new(0);
 /// observability and tests.
 static MULTI_OUTPUT_NESTS: AtomicU64 = AtomicU64::new(0);
 
-/// Fused interior rows and reduce loops whose chunks executed on a
-/// hand-written `core::arch` ISA path (currently AVX2) instead of the
-/// portable lane loops, for observability and tests — the proof that
-/// [`Target::effective_isa`] dispatch actually fires. Counted per
-/// loop/row, not per chunk, to keep the atomic off the chunk hot path.
+/// Fused interior rows whose chunks executed on the hand-written
+/// `core::arch` AVX2 plan evaluator instead of the portable lane loops, for
+/// observability and tests — the proof that [`Target::effective_isa`]
+/// dispatch actually fires. Counted per row, not per chunk, to keep the
+/// atomic off the chunk hot path.
 static ARCH_ROWS: AtomicU64 = AtomicU64::new(0);
-
-/// The execution tier of the current process-wide [`Target`]
-/// ([`Target::current`]), expressed as the legacy [`SimdMode`].
-#[deprecated(note = "use `Target::current().tier()`")]
-#[allow(deprecated)]
-pub fn simd_mode() -> SimdMode {
-    match Target::current().tier() {
-        Tier::Auto => SimdMode::Auto,
-        Tier::Scalar => SimdMode::ForceScalar,
-        Tier::Simd => SimdMode::ForceSimd,
-    }
-}
-
-/// Override (or with `None`, un-override) the process-wide execution tier.
-/// Shimmed onto [`crate::target::set_target_override`]: the override target
-/// keeps the environment-resolved ISA features and pins only the tier.
-/// Per-pipeline control is available via
-/// [`crate::compile::CompileOptions::target`].
-#[deprecated(note = "use `target::set_target_override`")]
-#[allow(deprecated)]
-pub fn set_simd_mode(mode: Option<SimdMode>) {
-    set_target_override(mode.map(|m| {
-        Target::from_env().with_tier(match m {
-            SimdMode::Auto => Tier::Auto,
-            SimdMode::ForceScalar => Tier::Scalar,
-            SimdMode::ForceSimd => Tier::Simd,
-        })
-    }));
-}
 
 /// Number of innermost-loop rows executed through the fused-kernel interior
 /// path since process start (monotonic; for tests and observability).
@@ -304,8 +277,8 @@ pub fn multi_output_nests_executed() -> u64 {
     MULTI_OUTPUT_NESTS.load(Ordering::Relaxed)
 }
 
-/// Number of fused rows / reduce loops whose chunks ran on a hand-written
-/// `core::arch` ISA path since process start (monotonic; for tests and
+/// Number of fused rows whose chunks ran on the hand-written `core::arch`
+/// plan evaluator since process start (monotonic; for tests and
 /// observability).
 pub fn arch_rows_executed() -> u64 {
     ARCH_ROWS.load(Ordering::Relaxed)
@@ -728,8 +701,8 @@ enum FOp<C> {
 
 /// One op of a float fused kernel's **arch plan**: the [`FOp`] stream with
 /// adjacent const/load/arithmetic patterns pre-fused at kernel-build time,
-/// consumed only by the hand-written AVX2 evaluators (the `arch` module).
-/// The portable evaluators never read it — they stay the oracle.
+/// consumed only by the hand-written AVX2 plan evaluator (the `arch`
+/// module). The portable evaluator never reads it — it stays the oracle.
 ///
 /// Why it exists: the integer families fuse their multiply-accumulate spine
 /// into [`VOp::Axpy`], but float programs carry each `Const`/`Load`/`Mul`/
@@ -834,11 +807,11 @@ fn build_arch_plan<C: Copy>(ops: &[FOp<C>]) -> Vec<AOp<C>> {
     plan
 }
 
-/// The pre-built arch plan of a [`FusedKernel`], by lane family. Integer
-/// programs carry none — their hot spine is already fused as [`VOp::Axpy`].
+/// The pre-built arch plan of a float [`FusedKernel`] with at most
+/// [`A_TAPS`] taps. Integer kernels carry none: the portable evaluator
+/// already vectorizes their `Axpy` spine as well as intrinsics did.
 #[derive(Debug, Clone, PartialEq)]
 enum ArchPlan {
-    Int,
     F32(Vec<AOp<f32>>),
     F64(Vec<AOp<f64>>),
 }
@@ -893,9 +866,12 @@ pub struct StoreProfile {
     /// Whether the store admits privatize-then-merge deferred accumulation
     /// under a [`crate::stmt::LoopKind::ParallelReduce`] nest.
     pub parallel_reduce: bool,
-    /// The instruction-set family the store's fused/reduce chunks will
-    /// execute on under the profiled [`Target`] ([`Isa::Portable`] for
-    /// unfused stores — the per-op and fallback tiers have no arch paths).
+    /// The instruction-set family the store's fused chunks will execute on
+    /// under the profiled [`Target`]: [`Isa::Avx2`] only for fused float
+    /// stores with an arch plan (at most `A_TAPS` taps) under a target
+    /// that resolves to AVX2; [`Isa::Portable`] for everything else —
+    /// integer and reduce kernels, the per-op and fallback tiers have no
+    /// arch path.
     pub selected_isa: Isa,
 }
 
@@ -925,9 +901,9 @@ impl FusedStoreCounts {
 #[derive(Debug, Clone, PartialEq)]
 struct FusedKernel {
     prog: LaneProgram,
-    /// Pre-fused float op stream for the AVX2 evaluators (see [`AOp`]);
-    /// [`ArchPlan::Int`] for the integer families.
-    arch_plan: ArchPlan,
+    /// Pre-fused float op stream for the AVX2 plan evaluator (see [`AOp`]);
+    /// `None` for kernels that always run the portable evaluator.
+    arch_plan: Option<ArchPlan>,
     taps: Vec<TapAccess>,
     /// Output slot (dimension 0 is contiguous in the lane variable).
     out_slot: usize,
@@ -1007,6 +983,16 @@ impl FusedKernel {
             LaneProgram::I64(_) => LaneFamily::I64,
             LaneProgram::F32(_) => LaneFamily::F32,
             LaneProgram::F64(_) => LaneFamily::F64,
+        }
+    }
+
+    /// The ISA this kernel's chunks execute on in a run resolved to `isa`:
+    /// only kernels with an arch plan have an AVX2 path.
+    fn selected_isa(&self, isa: Isa) -> Isa {
+        if isa == Isa::Avx2 && self.arch_plan.is_some() {
+            Isa::Avx2
+        } else {
+            Isa::Portable
         }
     }
 
@@ -1358,9 +1344,10 @@ impl FusedBuilder<'_> {
             return None;
         }
         let arch_plan = match &prog {
-            LaneProgram::F32(ops) => ArchPlan::F32(build_arch_plan(ops)),
-            LaneProgram::F64(ops) => ArchPlan::F64(build_arch_plan(ops)),
-            _ => ArchPlan::Int,
+            _ if taps.len() > A_TAPS => None,
+            LaneProgram::F32(ops) => Some(ArchPlan::F32(build_arch_plan(ops))),
+            LaneProgram::F64(ops) => Some(ArchPlan::F64(build_arch_plan(ops))),
+            LaneProgram::I32(_) | LaneProgram::I64(_) => None,
         };
         Some(FusedKernel {
             prog,
@@ -3151,20 +3138,16 @@ impl Runner<'_> {
         self.general_range(
             store_id, lane_depth, min, lo, MAX_LANES, binds, vars, scratch,
         )?;
+        let row = Row {
+            taps: &fused.taps,
+            tap_bases: &scratch.tap_bases,
+            lane_depth,
+            binds,
+            vars,
+        };
         let mut x = lo;
         while x + w as i64 <= hi + 1 {
-            dispatch_fused_chunk(
-                fused,
-                x,
-                w,
-                w,
-                &scratch.tap_bases,
-                out_base,
-                lane_depth,
-                binds,
-                vars,
-                self.isa,
-            );
+            dispatch_fused_chunk(fused, &row, out_base, x, w, w, self.isa);
             x += w as i64;
         }
         let rem = (hi + 1 - x) as usize;
@@ -3176,35 +3159,13 @@ impl Runner<'_> {
                 // the store writes — self-aliasing stores never fuse (the
                 // `value_reads_buffer` / tap-slot checks at build time) — so
                 // the re-stored lanes are bit-identical.
-                dispatch_fused_chunk(
-                    fused,
-                    hi + 1 - w as i64,
-                    w,
-                    w,
-                    &scratch.tap_bases,
-                    out_base,
-                    lane_depth,
-                    binds,
-                    vars,
-                    self.isa,
-                );
+                dispatch_fused_chunk(fused, &row, out_base, hi + 1 - w as i64, w, w, self.isa);
             } else {
                 // Masked final chunk: load and store only the `rem` provably
                 // in-range lanes (the rest are zero-filled and discarded).
                 // This is what keeps interiors shorter than one chunk — small
                 // tiles — on tier 1.
-                dispatch_fused_chunk(
-                    fused,
-                    x,
-                    w,
-                    rem,
-                    &scratch.tap_bases,
-                    out_base,
-                    lane_depth,
-                    binds,
-                    vars,
-                    self.isa,
-                );
+                dispatch_fused_chunk(fused, &row, out_base, x, w, rem, self.isa);
             }
             x = hi + 1;
             FUSED_TAILS.fetch_add(1, Ordering::Relaxed);
@@ -3214,7 +3175,7 @@ impl Runner<'_> {
         )?;
         if x > lo {
             FUSED_ROWS.fetch_add(1, Ordering::Relaxed);
-            if self.isa == Isa::Avx2 {
+            if fused.selected_isa(self.isa) == Isa::Avx2 {
                 ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -3291,24 +3252,19 @@ impl Runner<'_> {
         let mut acc =
             crate::buffer::read_scalar(rk.out_ty, &out_bind.data()[byte_off..byte_off + eb])
                 .as_i64();
+        let row = Row {
+            taps: &rk.taps,
+            tap_bases: &scratch.tap_bases,
+            lane_depth,
+            binds,
+            vars,
+        };
         let mut x = lo;
         while x <= hi {
             let n = (w as i64).min(hi + 1 - x) as usize;
-            acc = acc.wrapping_add(dispatch_reduce_chunk(
-                rk,
-                x,
-                n,
-                &scratch.tap_bases,
-                lane_depth,
-                binds,
-                vars,
-                self.isa,
-            ));
+            acc = acc.wrapping_add(dispatch_reduce_chunk(rk, &row, x, n));
             x += n as i64;
             REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.isa == Isa::Avx2 {
-            ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
         }
         // Replay the update's cast chain (innermost first) and store through
         // the buffer type, exactly as the per-element path would.
@@ -3665,25 +3621,20 @@ impl Runner<'_> {
                 self.accumulate_elements(
                     t, merge, lane_depth, min, lo, buf_idx, side, binds, vars, scratch,
                 );
+                let row = Row {
+                    taps: &rk.taps,
+                    tap_bases: &scratch.tap_bases,
+                    lane_depth,
+                    binds,
+                    vars,
+                };
                 let mut acc = 0i64;
                 let mut x = lo;
                 while x <= hi {
                     let n = (w as i64).min(hi + 1 - x) as usize;
-                    acc = acc.wrapping_add(dispatch_reduce_chunk(
-                        rk,
-                        x,
-                        n,
-                        &scratch.tap_bases,
-                        lane_depth,
-                        binds,
-                        vars,
-                        self.isa,
-                    ));
+                    acc = acc.wrapping_add(dispatch_reduce_chunk(rk, &row, x, n));
                     x += n as i64;
                     REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
-                }
-                if self.isa == Isa::Avx2 {
-                    ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
                 }
                 side[buf_idx][out_off] = side[buf_idx][out_off].wrapping_add(acc);
                 self.accumulate_elements(
@@ -3869,12 +3820,12 @@ impl Runner<'_> {
                 }
                 ScalarType::Float32 => {
                     for l in 0..n {
-                        bind.write(offs[l] * 4, &(vals[l] as f32).to_le_bytes());
+                        bind.write(offs[l] * 4, &canonical_f32(vals[l] as f32).to_le_bytes());
                     }
                 }
                 ScalarType::Float64 => {
                     for l in 0..n {
-                        bind.write(offs[l] * 8, &vals[l].to_le_bytes());
+                        bind.write(offs[l] * 8, &canonical_f64(vals[l]).to_le_bytes());
                     }
                 }
             }
@@ -4433,609 +4384,598 @@ fn run_program(
 // Fused-kernel execution
 // ---------------------------------------------------------------------------
 
-/// Read one element of an integer tap as the lane-typed value the per-op
-/// tier would produce (zero-extension for unsigned types, sign-extension for
-/// `Int32`, bit-reinterpretation for `UInt64`), truncated to the lane width.
-macro_rules! read_int_elem {
-    ($lane:ty, $ty:expr, $data:expr, $off:expr) => {{
-        let (ty, data, off): (ScalarType, &[u8], usize) = ($ty, $data, $off);
+/// One lane family's element type. Everything the fused chunk code below
+/// does is generic over it; the per-family differences are these items (and
+/// [`IntLane`] / [`FloatLane`] for the arithmetic).
+trait Lane: Copy + PartialEq + Default {
+    /// The lane holding integer `v`: the lane ramp and loop-variable
+    /// broadcasts (for `[i32; W]` the low 32 bits; for the float families
+    /// the variable's interval was proven exactly representable).
+    fn from_i64(v: i64) -> Self;
+    /// Decode one `ty` element from its little-endian bytes into the lane
+    /// value the per-op tier would produce for it.
+    fn decode(ty: ScalarType, bytes: &[u8]) -> Self;
+    /// Encode the lane as one `ty` element, truncating like the reference
+    /// store.
+    fn encode(self, ty: ScalarType, out: &mut [u8]);
+}
+
+/// An integer lane: wrapping two's-complement arithmetic (every op is the
+/// reference op mod the lane width) plus the unsigned view the logical shift
+/// and unsigned min/max/compare need.
+trait IntLane:
+    Lane + Ord + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self>
+{
+    type Unsigned: Copy + Ord + Shr<u32, Output = Self::Unsigned>;
+    fn wrapping_add(self, o: Self) -> Self;
+    fn wrapping_sub(self, o: Self) -> Self;
+    fn wrapping_mul(self, o: Self) -> Self;
+    fn wrapping_shl(self, s: u32) -> Self;
+    fn unsigned(self) -> Self::Unsigned;
+    fn from_unsigned(u: Self::Unsigned) -> Self;
+    /// The lane sign-extended to `i64`.
+    fn as_i64(self) -> i64;
+}
+
+/// A float lane: IEEE arithmetic (one rounding per op) plus the reference
+/// evaluator's min/max.
+trait FloatLane:
+    Lane
+    + PartialOrd
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+{
+    fn sqrt(self) -> Self;
+    /// [`eval_binop`]'s float `min`, bit-for-bit (NaN and ±0.0 included).
+    fn min_ref(self, o: Self) -> Self;
+    /// [`eval_binop`]'s float `max`, bit-for-bit.
+    fn max_ref(self, o: Self) -> Self;
+}
+
+/// The reference `i64` value of one integer element: zero-extension for
+/// unsigned types, sign-extension for `Int32`, bit-reinterpretation for
+/// `UInt64`.
+#[inline(always)]
+fn decode_int(ty: ScalarType, b: &[u8]) -> i64 {
+    match ty {
+        ScalarType::UInt8 => b[0] as i64,
+        ScalarType::UInt16 => u16::from_le_bytes([b[0], b[1]]) as i64,
+        ScalarType::UInt32 => u32::from_le_bytes(b[..4].try_into().expect("4 bytes")) as i64,
+        ScalarType::Int32 => i32::from_le_bytes(b[..4].try_into().expect("4 bytes")) as i64,
+        ScalarType::UInt64 => u64::from_le_bytes(b[..8].try_into().expect("8 bytes")) as i64,
+        ScalarType::Float32 | ScalarType::Float64 => {
+            unreachable!("integer fused taps are integer-typed")
+        }
+    }
+}
+
+/// Store an integer value as one `ty` element (C-cast truncation).
+#[inline(always)]
+fn encode_int(ty: ScalarType, v: i64, out: &mut [u8]) {
+    match ty {
+        ScalarType::UInt8 => out[0] = v as u8,
+        ScalarType::UInt16 => out[..2].copy_from_slice(&(v as u16).to_le_bytes()),
+        ScalarType::UInt32 => out[..4].copy_from_slice(&(v as u32).to_le_bytes()),
+        ScalarType::Int32 => out[..4].copy_from_slice(&(v as i32).to_le_bytes()),
+        ScalarType::UInt64 => out[..8].copy_from_slice(&(v as u64).to_le_bytes()),
+        ScalarType::Float32 | ScalarType::Float64 => {
+            unreachable!("integer fused outputs are integer-typed")
+        }
+    }
+}
+
+macro_rules! int_lane {
+    ($lane:ty, $ulane:ty) => {
+        impl Lane for $lane {
+            #[inline(always)]
+            fn from_i64(v: i64) -> Self {
+                v as $lane
+            }
+            #[inline(always)]
+            fn decode(ty: ScalarType, bytes: &[u8]) -> Self {
+                decode_int(ty, bytes) as $lane
+            }
+            #[inline(always)]
+            fn encode(self, ty: ScalarType, out: &mut [u8]) {
+                encode_int(ty, self as i64, out)
+            }
+        }
+
+        impl IntLane for $lane {
+            type Unsigned = $ulane;
+            #[inline(always)]
+            fn wrapping_add(self, o: Self) -> Self {
+                <$lane>::wrapping_add(self, o)
+            }
+            #[inline(always)]
+            fn wrapping_sub(self, o: Self) -> Self {
+                <$lane>::wrapping_sub(self, o)
+            }
+            #[inline(always)]
+            fn wrapping_mul(self, o: Self) -> Self {
+                <$lane>::wrapping_mul(self, o)
+            }
+            #[inline(always)]
+            fn wrapping_shl(self, s: u32) -> Self {
+                <$lane>::wrapping_shl(self, s)
+            }
+            #[inline(always)]
+            fn unsigned(self) -> $ulane {
+                self as $ulane
+            }
+            #[inline(always)]
+            fn from_unsigned(u: $ulane) -> Self {
+                u as $lane
+            }
+            #[inline(always)]
+            fn as_i64(self) -> i64 {
+                self as i64
+            }
+        }
+    };
+}
+
+int_lane!(i32, u32);
+int_lane!(i64, u64);
+
+impl Lane for f32 {
+    #[inline(always)]
+    fn from_i64(v: i64) -> Self {
+        v as f32
+    }
+    /// `Float32` loads are bit-exact; narrow integer loads (u8/u16, proven
+    /// f32-exact at compile time) convert without loss.
+    #[inline(always)]
+    fn decode(ty: ScalarType, b: &[u8]) -> Self {
         match ty {
-            ScalarType::UInt8 => data[off] as $lane,
-            ScalarType::UInt16 => u16::from_le_bytes([data[off * 2], data[off * 2 + 1]]) as $lane,
-            ScalarType::UInt32 => {
-                u32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as $lane
-            }
-            ScalarType::Int32 => {
-                i32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as $lane
-            }
-            ScalarType::UInt64 => {
-                u64::from_le_bytes(data[off * 8..off * 8 + 8].try_into().expect("8 bytes")) as $lane
-            }
-            _ => unreachable!("integer fused taps are integer-typed"),
+            ScalarType::Float32 => f32::from_le_bytes(b[..4].try_into().expect("4 bytes")),
+            _ => decode_int(ty, b) as f32,
         }
-    }};
+    }
+    #[inline(always)]
+    fn encode(self, ty: ScalarType, out: &mut [u8]) {
+        debug_assert_eq!(ty, ScalarType::Float32);
+        out[..4].copy_from_slice(&canonical_f32(self).to_le_bytes());
+    }
 }
 
-/// Generate the tap loader of one integer lane family. `n` is the number of
-/// in-range lanes: full chunks (`n == W`) use constant-trip slice loops LLVM
-/// turns into vector loads; masked tails (`n < W`) read only the in-range
-/// prefix and zero-fill the rest (the lanes are discarded at the store).
-macro_rules! int_tap_loader {
-    ($name:ident, $lane:ty) => {
-        /// Load one tap's lanes for the chunk at lane-variable value `x`.
-        /// In-bounds (for the first `n` lanes) by the interior derivation in
-        /// `run_fused_loop`.
-        #[inline]
-        fn $name<const W: usize>(
-            tap: &TapAccess,
-            base: i64,
-            x: i64,
-            n: usize,
-            binds: &BindTable,
-        ) -> [$lane; W] {
-            let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-            let data = bind.data();
-            let mut out = [0 as $lane; W];
-            match tap.lane {
-                TapLane::Contiguous => {
-                    let off = (base + x) as usize;
-                    if n >= W {
-                        match tap.ty {
-                            ScalarType::UInt8 => {
-                                let src = &data[off..off + W];
-                                for l in 0..W {
-                                    out[l] = src[l] as $lane;
-                                }
-                            }
-                            ScalarType::UInt16 => {
-                                let src = &data[off * 2..off * 2 + W * 2];
-                                for l in 0..W {
-                                    out[l] =
-                                        u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as $lane;
-                                }
-                            }
-                            ScalarType::UInt32 => {
-                                let src = &data[off * 4..off * 4 + W * 4];
-                                for l in 0..W {
-                                    out[l] = u32::from_le_bytes(
-                                        src[4 * l..4 * l + 4].try_into().expect("4 bytes"),
-                                    ) as $lane;
-                                }
-                            }
-                            ScalarType::Int32 => {
-                                let src = &data[off * 4..off * 4 + W * 4];
-                                for l in 0..W {
-                                    out[l] = i32::from_le_bytes(
-                                        src[4 * l..4 * l + 4].try_into().expect("4 bytes"),
-                                    ) as $lane;
-                                }
-                            }
-                            ScalarType::UInt64 => {
-                                let src = &data[off * 8..off * 8 + W * 8];
-                                for l in 0..W {
-                                    out[l] = u64::from_le_bytes(
-                                        src[8 * l..8 * l + 8].try_into().expect("8 bytes"),
-                                    ) as $lane;
-                                }
-                            }
-                            _ => unreachable!("integer fused taps are integer-typed"),
-                        }
-                    } else {
-                        for (l, lane) in out.iter_mut().enumerate().take(n) {
-                            *lane = read_int_elem!($lane, tap.ty, data, off + l);
-                        }
-                    }
-                }
-                TapLane::Broadcast => {
-                    let off = base as usize;
-                    out = [read_int_elem!($lane, tap.ty, data, off); W];
-                }
-            }
-            out
-        }
-    };
+impl FloatLane for f32 {
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f32::sqrt(self)
+    }
+    /// Evaluated via f64 per lane, which is what the reference does.
+    #[inline(always)]
+    fn min_ref(self, o: Self) -> Self {
+        (self as f64).min(o as f64) as f32
+    }
+    #[inline(always)]
+    fn max_ref(self, o: Self) -> Self {
+        (self as f64).max(o as f64) as f32
+    }
 }
 
-int_tap_loader!(load_tap_i32, i32);
-int_tap_loader!(load_tap_i64, i64);
+impl Lane for f64 {
+    #[inline(always)]
+    fn from_i64(v: i64) -> Self {
+        v as f64
+    }
+    /// `Float64` loads are the reference values themselves, `Float32` loads
+    /// widen exactly, and integer loads (proven within ±2^53 at compile
+    /// time) promote exactly.
+    #[inline(always)]
+    fn decode(ty: ScalarType, b: &[u8]) -> Self {
+        match ty {
+            ScalarType::Float64 => f64::from_le_bytes(b[..8].try_into().expect("8 bytes")),
+            ScalarType::Float32 => f32::from_le_bytes(b[..4].try_into().expect("4 bytes")) as f64,
+            _ => decode_int(ty, b) as f64,
+        }
+    }
+    #[inline(always)]
+    fn encode(self, ty: ScalarType, out: &mut [u8]) {
+        debug_assert_eq!(ty, ScalarType::Float64);
+        out[..8].copy_from_slice(&canonical_f64(self).to_le_bytes());
+    }
+}
 
-/// Load one `[f32; W]` tap's lanes: `Float32` loads are bit-exact, narrow
-/// integer loads (u8/u16, proven f32-exact at compile time) convert without
-/// loss. Masked tails (`n < W`) read only the in-range prefix.
+impl FloatLane for f64 {
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+    /// `f64::min` IS [`eval_binop`]'s float branch.
+    #[inline(always)]
+    fn min_ref(self, o: Self) -> Self {
+        self.min(o)
+    }
+    #[inline(always)]
+    fn max_ref(self, o: Self) -> Self {
+        self.max(o)
+    }
+}
+
+/// What every chunk of one fused row reads: the kernel's taps and their
+/// per-row base offsets, the bound buffers, and the loop variables.
+struct Row<'a> {
+    taps: &'a [TapAccess],
+    tap_bases: &'a [i64],
+    lane_depth: usize,
+    binds: &'a BindTable,
+    vars: &'a [i64],
+}
+
+impl Row<'_> {
+    /// The loop variable at `depth` as lanes: a ramp from `x` at the lane
+    /// depth, a broadcast elsewhere.
+    #[inline(always)]
+    fn var<L: Lane, const W: usize>(&self, depth: usize, x: i64) -> [L; W] {
+        if depth != self.lane_depth {
+            return [L::from_i64(self.vars[depth]); W];
+        }
+        let mut out = [L::default(); W];
+        for (l, lane) in out.iter_mut().enumerate() {
+            *lane = L::from_i64(x + l as i64);
+        }
+        out
+    }
+
+    /// Tap `t`'s lanes for the chunk at lane-variable value `x`.
+    #[inline(always)]
+    fn load<L: Lane, const W: usize>(&self, t: usize, x: i64, n: usize) -> [L; W] {
+        load_tap(&self.taps[t], self.tap_bases[t], x, n, self.binds)
+    }
+}
+
+/// Load one tap's lanes for the chunk at lane-variable value `x`. The first
+/// `n` lanes are in bounds by the interior derivation in `run_fused_loop`.
+/// Full chunks (`n == W`) decode one straight slice in a constant-trip loop
+/// LLVM turns into vector loads; masked tails (`n < W`) read only the
+/// in-range prefix and zero-fill the rest (those lanes are discarded at the
+/// store).
 #[inline]
-fn load_tap_f32<const W: usize>(
+fn load_tap<L: Lane, const W: usize>(
     tap: &TapAccess,
     base: i64,
     x: i64,
     n: usize,
     binds: &BindTable,
-) -> [f32; W] {
-    let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-    let data = bind.data();
-    let read = |off: usize| -> f32 {
-        match tap.ty {
-            ScalarType::Float32 => {
-                f32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes"))
-            }
-            ScalarType::UInt8 => data[off] as f32,
-            ScalarType::UInt16 => u16::from_le_bytes([data[off * 2], data[off * 2 + 1]]) as f32,
-            _ => unreachable!("f32 fused taps are Float32 or narrow integers"),
-        }
-    };
-    let mut out = [0.0f32; W];
+) -> [L; W] {
+    let data = binds.0[tap.slot].as_ref().expect("tap source bound").data();
+    let mut out = [L::default(); W];
     match tap.lane {
         TapLane::Contiguous => {
             let off = (base + x) as usize;
             if n >= W {
+                // One arm per element type, so the element size and the
+                // decode fold to constants inside the loop.
                 match tap.ty {
-                    ScalarType::Float32 => {
-                        let src = &data[off * 4..off * 4 + W * 4];
-                        for l in 0..W {
-                            out[l] = f32::from_le_bytes(
-                                src[4 * l..4 * l + 4].try_into().expect("4 bytes"),
-                            );
-                        }
-                    }
-                    ScalarType::UInt8 => {
-                        let src = &data[off..off + W];
-                        for l in 0..W {
-                            out[l] = src[l] as f32;
-                        }
-                    }
-                    ScalarType::UInt16 => {
-                        let src = &data[off * 2..off * 2 + W * 2];
-                        for l in 0..W {
-                            out[l] = u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as f32;
-                        }
-                    }
-                    _ => unreachable!("f32 fused taps are Float32 or narrow integers"),
+                    ScalarType::UInt8 => decode_lanes(ScalarType::UInt8, data, off, &mut out),
+                    ScalarType::UInt16 => decode_lanes(ScalarType::UInt16, data, off, &mut out),
+                    ScalarType::UInt32 => decode_lanes(ScalarType::UInt32, data, off, &mut out),
+                    ScalarType::UInt64 => decode_lanes(ScalarType::UInt64, data, off, &mut out),
+                    ScalarType::Int32 => decode_lanes(ScalarType::Int32, data, off, &mut out),
+                    ScalarType::Float32 => decode_lanes(ScalarType::Float32, data, off, &mut out),
+                    ScalarType::Float64 => decode_lanes(ScalarType::Float64, data, off, &mut out),
                 }
             } else {
+                let size = tap.ty.bytes();
                 for (l, lane) in out.iter_mut().enumerate().take(n) {
-                    *lane = read(off + l);
+                    let o = (off + l) * size;
+                    *lane = L::decode(tap.ty, &data[o..o + size]);
                 }
             }
         }
         TapLane::Broadcast => {
-            out = [read(base as usize); W];
+            let size = tap.ty.bytes();
+            let off = base as usize * size;
+            out = [L::decode(tap.ty, &data[off..off + size]); W];
         }
     }
     out
 }
 
-/// Load one `[f64; W/2]` tap's lanes: `Float64` loads are the reference
-/// values themselves, `Float32` loads widen exactly, and integer loads
-/// (proven within ±2^53 at compile time) promote exactly. Masked tails
-/// (`n < W`) read only the in-range prefix.
+/// Decode the `W` elements of type `ty` starting at element `off`. The
+/// indexed loop is deliberate: LLVM vectorized the `iter_mut().enumerate()`
+/// form of it measurably worse for the float families.
+#[inline(always)]
+fn decode_lanes<L: Lane, const W: usize>(
+    ty: ScalarType,
+    data: &[u8],
+    off: usize,
+    out: &mut [L; W],
+) {
+    let size = ty.bytes();
+    let src = &data[off * size..off * size + W * size];
+    for l in 0..W {
+        out[l] = L::decode(ty, &src[size * l..size * l + size]);
+    }
+}
+
+/// Contiguous chunk store: encode the lanes as the output type and write the
+/// first `n` of them.
 #[inline]
-fn load_tap_f64<const W: usize>(
-    tap: &TapAccess,
-    base: i64,
+fn store_chunk<L: Lane, const W: usize>(
+    fused: &FusedKernel,
+    out_base: i64,
     x: i64,
     n: usize,
+    vals: &[L; W],
     binds: &BindTable,
-) -> [f64; W] {
-    let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-    let data = bind.data();
-    let read = |off: usize| -> f64 {
-        match tap.ty {
-            ScalarType::Float64 => {
-                f64::from_le_bytes(data[off * 8..off * 8 + 8].try_into().expect("8 bytes"))
-            }
-            ScalarType::Float32 => {
-                f32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as f64
-            }
-            ScalarType::UInt8 => data[off] as f64,
-            ScalarType::UInt16 => u16::from_le_bytes([data[off * 2], data[off * 2 + 1]]) as f64,
-            ScalarType::UInt32 => {
-                u32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as f64
-            }
-            ScalarType::Int32 => {
-                i32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as f64
-            }
-            _ => unreachable!("f64 fused taps exclude UInt64"),
-        }
-    };
-    let mut out = [0.0f64; W];
-    match tap.lane {
-        TapLane::Contiguous => {
-            let off = (base + x) as usize;
-            if n >= W {
-                match tap.ty {
-                    ScalarType::Float64 => {
-                        let src = &data[off * 8..off * 8 + W * 8];
-                        for l in 0..W {
-                            out[l] = f64::from_le_bytes(
-                                src[8 * l..8 * l + 8].try_into().expect("8 bytes"),
-                            );
-                        }
-                    }
-                    _ => {
-                        for (l, lane) in out.iter_mut().enumerate() {
-                            *lane = read(off + l);
-                        }
-                    }
-                }
-            } else {
-                for (l, lane) in out.iter_mut().enumerate().take(n) {
-                    *lane = read(off + l);
-                }
-            }
-        }
-        TapLane::Broadcast => {
-            out = [read(base as usize); W];
-        }
+) {
+    let bind = binds.0[fused.out_slot]
+        .as_ref()
+        .expect("store target bound");
+    let size = fused.out_ty.bytes();
+    let n = n.min(W);
+    let mut tmp = [0u8; MAX_CHUNK * 8];
+    // One arm per element type, as in `load_tap`.
+    match fused.out_ty {
+        ScalarType::UInt8 => encode_lanes(ScalarType::UInt8, vals, n, &mut tmp),
+        ScalarType::UInt16 => encode_lanes(ScalarType::UInt16, vals, n, &mut tmp),
+        ScalarType::UInt32 => encode_lanes(ScalarType::UInt32, vals, n, &mut tmp),
+        ScalarType::UInt64 => encode_lanes(ScalarType::UInt64, vals, n, &mut tmp),
+        ScalarType::Int32 => encode_lanes(ScalarType::Int32, vals, n, &mut tmp),
+        ScalarType::Float32 => encode_lanes(ScalarType::Float32, vals, n, &mut tmp),
+        ScalarType::Float64 => encode_lanes(ScalarType::Float64, vals, n, &mut tmp),
     }
-    out
+    bind.write((out_base + x) as usize * size, &tmp[..n * size]);
 }
 
-/// Route one chunk to the monomorphized runner of the kernel's lane family
-/// and chunk width. `w` is the chunk width (`fused.chunk_width`); `n ≤ w` is
-/// the number of lanes to load and store (`n < w` only for masked tails).
-/// `isa` selects the chunk evaluator body: [`Isa::Avx2`] routes the op
-/// shapes with hand-written `core::arch` paths through the `arch` module
-/// (bit-identical to the portable evaluators; see the module docs).
-#[allow(clippy::too_many_arguments)]
+/// Encode the first `n` lanes as elements of type `ty` into `tmp`.
+#[inline(always)]
+fn encode_lanes<L: Lane, const W: usize>(
+    ty: ScalarType,
+    vals: &[L; W],
+    n: usize,
+    tmp: &mut [u8; MAX_CHUNK * 8],
+) {
+    let size = ty.bytes();
+    for l in 0..n {
+        vals[l].encode(ty, &mut tmp[l * size..(l + 1) * size]);
+    }
+}
+
+/// Apply `f` lane-wise to one chunk in place.
+#[inline(always)]
+fn map1<L: Copy, const W: usize>(a: &mut [L; W], f: impl Fn(L) -> L) {
+    for lane in a {
+        *lane = f(*lane);
+    }
+}
+
+/// Pop the top two chunks `a, b` of the value stack and push `f(a, b)`
+/// lane-wise; returns the new stack pointer.
+#[inline(always)]
+fn map2<L: Copy, const W: usize>(
+    st: &mut [[L; W]; V_STACK],
+    sp: usize,
+    f: impl Fn(L, L) -> L,
+) -> usize {
+    let (head, tail) = st.split_at_mut(sp - 1);
+    let (a, b) = (&mut head[sp - 2], &tail[0]);
+    for l in 0..W {
+        a[l] = f(a[l], b[l]);
+    }
+    sp - 1
+}
+
+/// Pop `c, t, f` and push `select(c, t, f)` lane-wise: a lane is true when
+/// it is nonzero, which matches `Value::is_true` on the exact value.
+#[inline(always)]
+fn select_lanes<L: Lane, const W: usize>(st: &mut [[L; W]; V_STACK], sp: usize) -> usize {
+    let (head, tail) = st.split_at_mut(sp - 2);
+    let c = &mut head[sp - 3];
+    let (t, f) = (&tail[0], &tail[1]);
+    for l in 0..W {
+        c[l] = if c[l] != L::default() { t[l] } else { f[l] };
+    }
+    sp - 2
+}
+
+/// A fused lane program's op type, tied to its lane type and chunk
+/// evaluator.
+trait LaneOp: Sized {
+    type Lane: Lane;
+    /// Evaluate one chunk: a stack machine over `[Lane; W]` chunks with
+    /// constant trip counts LLVM auto-vectorizes, returning the final chunk.
+    /// `n` lanes are loaded (`n == W` except for masked tails; lanes beyond
+    /// `n` are unspecified and must be masked by the consumer — the fused
+    /// store writes only `n` lanes, the reduction epilogue zeroes them
+    /// before summing).
+    fn eval_chunk<const W: usize>(ops: &[Self], row: &Row, x: i64, n: usize) -> [Self::Lane; W];
+}
+
+/// The integer evaluator: wrapping lanes, so every op is exact mod the lane
+/// width; value-sensitive ops only appear where the builder proved them.
+impl<L: IntLane> LaneOp for VOp<L> {
+    type Lane = L;
+
+    fn eval_chunk<const W: usize>(ops: &[Self], row: &Row, x: i64, n: usize) -> [L; W] {
+        let mut st = [[L::default(); W]; V_STACK];
+        let mut sp = 0usize;
+        for op in ops {
+            match op {
+                VOp::Const(v) => {
+                    st[sp] = [*v; W];
+                    sp += 1;
+                }
+                VOp::Var(depth) => {
+                    st[sp] = row.var(*depth, x);
+                    sp += 1;
+                }
+                VOp::Load(t) => {
+                    st[sp] = row.load(*t, x, n);
+                    sp += 1;
+                }
+                VOp::Axpy { tap, coeff } => {
+                    let v: [L; W] = row.load(*tap, x, n);
+                    let dst = &mut st[sp - 1];
+                    for l in 0..W {
+                        dst[l] = dst[l].wrapping_add(coeff.wrapping_mul(v[l]));
+                    }
+                }
+                VOp::AddC(c) => map1(&mut st[sp - 1], |a| a.wrapping_add(*c)),
+                VOp::MulC(c) => map1(&mut st[sp - 1], |a| a.wrapping_mul(*c)),
+                VOp::AndC(c) | VOp::Mask(c) => map1(&mut st[sp - 1], |a| a & *c),
+                VOp::OrC(c) => map1(&mut st[sp - 1], |a| a | *c),
+                VOp::XorC(c) => map1(&mut st[sp - 1], |a| a ^ *c),
+                VOp::ShrU(s) => map1(&mut st[sp - 1], |a| L::from_unsigned(a.unsigned() >> *s)),
+                VOp::Shl(s) => map1(&mut st[sp - 1], |a| a.wrapping_shl(*s)),
+                // The Int32 cast on i64 lanes; the identity on i32.
+                VOp::Sext32 => map1(&mut st[sp - 1], |a| L::from_i64(a.as_i64() as i32 as i64)),
+                VOp::Add => sp = map2(&mut st, sp, L::wrapping_add),
+                VOp::Sub => sp = map2(&mut st, sp, L::wrapping_sub),
+                VOp::Mul => sp = map2(&mut st, sp, L::wrapping_mul),
+                VOp::And => sp = map2(&mut st, sp, |a, b| a & b),
+                VOp::Or => sp = map2(&mut st, sp, |a, b| a | b),
+                VOp::Xor => sp = map2(&mut st, sp, |a, b| a ^ b),
+                VOp::MinS => sp = map2(&mut st, sp, Ord::min),
+                VOp::MaxS => sp = map2(&mut st, sp, Ord::max),
+                VOp::MinU => {
+                    sp = map2(&mut st, sp, |a, b| {
+                        L::from_unsigned(a.unsigned().min(b.unsigned()))
+                    })
+                }
+                VOp::MaxU => {
+                    sp = map2(&mut st, sp, |a, b| {
+                        L::from_unsigned(a.unsigned().max(b.unsigned()))
+                    })
+                }
+                VOp::CmpS(cmp) => sp = map2(&mut st, sp, |a, b| L::from_i64(cmp_lanes(*cmp, a, b))),
+                VOp::CmpU(cmp) => {
+                    sp = map2(&mut st, sp, |a, b| {
+                        L::from_i64(cmp_lanes(*cmp, a.unsigned(), b.unsigned()))
+                    })
+                }
+                VOp::Sel => sp = select_lanes(&mut st, sp),
+            }
+        }
+        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
+        st[0]
+    }
+}
+
+/// The float evaluator. On `[f32; W]` lanes arithmetic ops round once in
+/// f32 (emitted only at reference rounding points); on `[f64; W/2]` lanes
+/// every op is the reference op itself.
+impl<L: FloatLane> LaneOp for FOp<L> {
+    type Lane = L;
+
+    fn eval_chunk<const W: usize>(ops: &[Self], row: &Row, x: i64, n: usize) -> [L; W] {
+        let mut st = [[L::default(); W]; V_STACK];
+        let mut sp = 0usize;
+        for op in ops {
+            match op {
+                FOp::Const(v) => {
+                    st[sp] = [*v; W];
+                    sp += 1;
+                }
+                FOp::Var(depth) => {
+                    st[sp] = row.var(*depth, x);
+                    sp += 1;
+                }
+                FOp::Load(t) => {
+                    st[sp] = row.load(*t, x, n);
+                    sp += 1;
+                }
+                FOp::Sqrt => map1(&mut st[sp - 1], L::sqrt),
+                FOp::Add => sp = map2(&mut st, sp, |a, b| a + b),
+                FOp::Sub => sp = map2(&mut st, sp, |a, b| a - b),
+                FOp::Mul => sp = map2(&mut st, sp, |a, b| a * b),
+                FOp::Div => sp = map2(&mut st, sp, |a, b| a / b),
+                FOp::Min => sp = map2(&mut st, sp, L::min_ref),
+                FOp::Max => sp = map2(&mut st, sp, L::max_ref),
+                FOp::Cmp(cmp) => sp = map2(&mut st, sp, |a, b| L::from_i64(cmp_lanes(*cmp, a, b))),
+                FOp::Sel => sp = select_lanes(&mut st, sp),
+            }
+        }
+        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
+        st[0]
+    }
+}
+
+/// Route one chunk to the kernel's lane family. `w` is the chunk width
+/// (`fused.chunk_width`); `n ≤ w` is the number of lanes to load and store
+/// (`n < w` only for masked tails). Under [`Isa::Avx2`], kernels carrying an
+/// arch plan run it on the `arch` module's register-resident evaluator
+/// (bit-identical to the portable evaluator; see [`AOp`]).
 fn dispatch_fused_chunk(
     fused: &FusedKernel,
+    row: &Row,
+    out_base: i64,
     x: i64,
     w: usize,
     n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
     isa: Isa,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
+    if let (Isa::Avx2, Some(plan)) = (isa, &fused.arch_plan) {
         // SAFETY: `Isa::Avx2` is only produced by `Target::effective_isa`
         // after `is_x86_feature_detected!("avx2")` succeeded on this CPU.
         unsafe {
-            return arch::dispatch_fused_chunk_avx2(
-                fused, x, w, n, tap_bases, out_base, lane_depth, binds, vars,
-            );
+            return arch::run_plan_chunk(plan, fused, row, out_base, x, w, n);
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
-    match (&fused.prog, w) {
-        (LaneProgram::I32(ops), 32) => run_chunk_i32::<32>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I32(ops), 16) => run_chunk_i32::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I32(ops), _) => run_chunk_i32::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I64(ops), 16) => run_chunk_i64::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I64(ops), 8) => run_chunk_i64::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I64(ops), _) => run_chunk_i64::<4>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F32(ops), 32) => run_chunk_f32::<32>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F32(ops), 16) => run_chunk_f32::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F32(ops), _) => run_chunk_f32::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F64(ops), 16) => run_chunk_f64::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F64(ops), 8) => run_chunk_f64::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F64(ops), _) => run_chunk_f64::<4>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
+    match &fused.prog {
+        LaneProgram::I32(ops) => run_chunk(ops, fused, row, out_base, x, w, n),
+        LaneProgram::I64(ops) => run_chunk(ops, fused, row, out_base, x, w, n),
+        LaneProgram::F32(ops) => run_chunk(ops, fused, row, out_base, x, w, n),
+        LaneProgram::F64(ops) => run_chunk(ops, fused, row, out_base, x, w, n),
     }
 }
 
-/// Generate the chunk *evaluator* of one integer lane family: a stack
-/// machine over `[$lane; W]` chunks with constant trip counts LLVM
-/// auto-vectorizes, returning the final chunk. `n` lanes are loaded
-/// (`n == W` except for masked tails; lanes beyond `n` are unspecified and
-/// must be masked by the consumer — the fused store writes only `n` lanes,
-/// the reduction epilogue zeroes them before summing).
-macro_rules! int_chunk_eval {
-    ($name:ident, $lane:ty, $ulane:ty, $load:ident) => {
-        #[allow(clippy::too_many_arguments)]
-        fn $name<const W: usize>(
-            ops: &[VOp<$lane>],
-            taps: &[TapAccess],
-            x: i64,
-            n: usize,
-            tap_bases: &[i64],
-            lane_depth: usize,
-            binds: &BindTable,
-            vars: &[i64],
-        ) -> [$lane; W] {
-            let mut st = [[0 as $lane; W]; V_STACK];
-            let mut sp = 0usize;
-            for op in ops {
-                match op {
-                    VOp::Const(v) => {
-                        st[sp] = [*v; W];
-                        sp += 1;
-                    }
-                    VOp::Var(depth) => {
-                        if *depth == lane_depth {
-                            let base = x as $lane;
-                            for (l, lane) in st[sp].iter_mut().enumerate() {
-                                *lane = base + l as $lane;
-                            }
-                        } else {
-                            st[sp] = [vars[*depth] as $lane; W];
-                        }
-                        sp += 1;
-                    }
-                    VOp::Load(t) => {
-                        st[sp] = $load::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                        sp += 1;
-                    }
-                    VOp::Axpy { tap, coeff } => {
-                        let v = $load::<W>(&taps[*tap], tap_bases[*tap], x, n, binds);
-                        let dst = &mut st[sp - 1];
-                        for l in 0..W {
-                            dst[l] = dst[l].wrapping_add(coeff.wrapping_mul(v[l]));
-                        }
-                    }
-                    VOp::AddC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l = l.wrapping_add(*c);
-                        }
-                    }
-                    VOp::MulC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l = l.wrapping_mul(*c);
-                        }
-                    }
-                    VOp::AndC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l &= *c;
-                        }
-                    }
-                    VOp::OrC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l |= *c;
-                        }
-                    }
-                    VOp::XorC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l ^= *c;
-                        }
-                    }
-                    VOp::Mask(m) => {
-                        for l in &mut st[sp - 1] {
-                            *l &= *m;
-                        }
-                    }
-                    VOp::ShrU(s) => {
-                        for l in &mut st[sp - 1] {
-                            *l = ((*l as $ulane) >> *s) as $lane;
-                        }
-                    }
-                    VOp::Shl(s) => {
-                        for l in &mut st[sp - 1] {
-                            *l = l.wrapping_shl(*s);
-                        }
-                    }
-                    VOp::Sext32 => {
-                        // The Int32 cast on i64 lanes; the identity on i32.
-                        for l in &mut st[sp - 1] {
-                            *l = (*l as i32) as $lane;
-                        }
-                    }
-                    VOp::Add
-                    | VOp::Sub
-                    | VOp::Mul
-                    | VOp::And
-                    | VOp::Or
-                    | VOp::Xor
-                    | VOp::MinS
-                    | VOp::MaxS
-                    | VOp::MinU
-                    | VOp::MaxU => {
-                        let (head, tail) = st.split_at_mut(sp - 1);
-                        let a = &mut head[sp - 2];
-                        let b = &tail[0];
-                        match op {
-                            VOp::Add => {
-                                for l in 0..W {
-                                    a[l] = a[l].wrapping_add(b[l]);
-                                }
-                            }
-                            VOp::Sub => {
-                                for l in 0..W {
-                                    a[l] = a[l].wrapping_sub(b[l]);
-                                }
-                            }
-                            VOp::Mul => {
-                                for l in 0..W {
-                                    a[l] = a[l].wrapping_mul(b[l]);
-                                }
-                            }
-                            VOp::And => {
-                                for l in 0..W {
-                                    a[l] &= b[l];
-                                }
-                            }
-                            VOp::Or => {
-                                for l in 0..W {
-                                    a[l] |= b[l];
-                                }
-                            }
-                            VOp::Xor => {
-                                for l in 0..W {
-                                    a[l] ^= b[l];
-                                }
-                            }
-                            VOp::MinS => {
-                                for l in 0..W {
-                                    a[l] = a[l].min(b[l]);
-                                }
-                            }
-                            VOp::MaxS => {
-                                for l in 0..W {
-                                    a[l] = a[l].max(b[l]);
-                                }
-                            }
-                            VOp::MinU => {
-                                for l in 0..W {
-                                    a[l] = (a[l] as $ulane).min(b[l] as $ulane) as $lane;
-                                }
-                            }
-                            VOp::MaxU => {
-                                for l in 0..W {
-                                    a[l] = (a[l] as $ulane).max(b[l] as $ulane) as $lane;
-                                }
-                            }
-                            _ => unreachable!("binary group"),
-                        }
-                        sp -= 1;
-                    }
-                    VOp::CmpS(cmp) => {
-                        let (head, tail) = st.split_at_mut(sp - 1);
-                        let a = &mut head[sp - 2];
-                        let b = &tail[0];
-                        for l in 0..W {
-                            let (x, y) = (a[l], b[l]);
-                            a[l] = cmp_lanes(*cmp, x, y) as $lane;
-                        }
-                        sp -= 1;
-                    }
-                    VOp::CmpU(cmp) => {
-                        let (head, tail) = st.split_at_mut(sp - 1);
-                        let a = &mut head[sp - 2];
-                        let b = &tail[0];
-                        for l in 0..W {
-                            let (x, y) = (a[l] as $ulane, b[l] as $ulane);
-                            a[l] = cmp_lanes(*cmp, x, y) as $lane;
-                        }
-                        sp -= 1;
-                    }
-                    VOp::Sel => {
-                        let (head, tail) = st.split_at_mut(sp - 2);
-                        let c = &mut head[sp - 3];
-                        let (t, f) = (&tail[0], &tail[1]);
-                        for l in 0..W {
-                            c[l] = if c[l] != 0 { t[l] } else { f[l] };
-                        }
-                        sp -= 2;
-                    }
-                }
-            }
-            debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-            st[0]
-        }
-    };
-}
-
-int_chunk_eval!(eval_chunk_i32, i32, u32, load_tap_i32);
-int_chunk_eval!(eval_chunk_i64, i64, u64, load_tap_i64);
-
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_i32<const W: usize>(
-    ops: &[VOp<i32>],
+/// Evaluate and store one chunk at width `w`: {8, 16, 32} lanes for the
+/// 32-bit families, {4, 8, 16} for the 64-bit ones.
+fn run_chunk<O: LaneOp>(
+    ops: &[O],
     fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
+    row: &Row,
     out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let lanes = eval_chunk_i32::<W>(ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-    store_chunk_i32::<W>(fused, out_base, x, n, &lanes, binds);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_i64<const W: usize>(
-    ops: &[VOp<i64>],
-    fused: &FusedKernel,
     x: i64,
+    w: usize,
     n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
 ) {
-    let lanes = eval_chunk_i64::<W>(ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-    store_chunk_i64::<W>(fused, out_base, x, n, &lanes, binds);
+    let binds = row.binds;
+    match w {
+        32 => store_chunk::<_, 32>(fused, out_base, x, n, &O::eval_chunk(ops, row, x, n), binds),
+        16 => store_chunk::<_, 16>(fused, out_base, x, n, &O::eval_chunk(ops, row, x, n), binds),
+        8 => store_chunk::<_, 8>(fused, out_base, x, n, &O::eval_chunk(ops, row, x, n), binds),
+        _ => store_chunk::<_, 4>(fused, out_base, x, n, &O::eval_chunk(ops, row, x, n), binds),
+    }
 }
 
 /// Wrapping in-lane tree reduce of the first `n` lanes of a chunk. Exact for
 /// any summation order because wrapping integer addition is commutative and
 /// associative; the halving tree is the shape LLVM turns into vector
 /// reductions.
-macro_rules! tree_sum {
-    ($name:ident, $lane:ty) => {
-        fn $name<const W: usize>(mut lanes: [$lane; W], n: usize) -> $lane {
-            for lane in lanes.iter_mut().skip(n) {
-                *lane = 0;
-            }
-            let mut width = W;
-            while width > 1 {
-                width /= 2;
-                for l in 0..width {
-                    lanes[l] = lanes[l].wrapping_add(lanes[l + width]);
-                }
-            }
-            lanes[0]
+fn tree_sum<L: IntLane, const W: usize>(mut lanes: [L; W], n: usize) -> L {
+    for lane in lanes.iter_mut().skip(n) {
+        *lane = L::default();
+    }
+    let mut width = W;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            lanes[l] = lanes[l].wrapping_add(lanes[l + width]);
         }
-    };
+    }
+    lanes[0]
 }
-
-tree_sum!(tree_sum_i32, i32);
-tree_sum!(tree_sum_i64, i64);
 
 /// Evaluate one chunk of a reduction kernel's `g` and tree-reduce its first
 /// `n` lanes, returning the partial sum as an `i64` (for the i32 family the
 /// value is the sum mod `2^32`, which is all its ≤ 32-bit accumulator needs).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_reduce_chunk(
-    rk: &ReduceKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-    isa: Isa,
-) -> i64 {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: `Isa::Avx2` is only produced by `Target::effective_isa`
-        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU.
-        unsafe {
-            return arch::dispatch_reduce_chunk_avx2(rk, x, n, tap_bases, lane_depth, binds, vars);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
+fn dispatch_reduce_chunk(rk: &ReduceKernel, row: &Row, x: i64, n: usize) -> i64 {
     match &rk.prog {
         LaneProgram::I32(ops) => {
-            let lanes = eval_chunk_i32::<MAX_CHUNK>(
-                ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-            );
-            tree_sum_i32(lanes, n) as i64
+            tree_sum(LaneOp::eval_chunk::<MAX_CHUNK>(ops, row, x, n), n).as_i64()
         }
         LaneProgram::I64(ops) => {
-            let lanes = eval_chunk_i64::<{ MAX_CHUNK / 2 }>(
-                ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-            );
-            tree_sum_i64(lanes, n)
+            tree_sum(LaneOp::eval_chunk::<{ MAX_CHUNK / 2 }>(ops, row, x, n), n)
         }
         LaneProgram::F32(_) | LaneProgram::F64(_) => {
             unreachable!("reduce kernels are integer-only")
@@ -5043,337 +4983,8 @@ fn dispatch_reduce_chunk(
     }
 }
 
-/// Run one `[f32; W]` fused kernel chunk. Arithmetic ops round once in f32
-/// (emitted only at reference rounding points); min/max evaluate through f64
-/// per lane to replicate [`eval_binop`]'s float branch bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_f32<const W: usize>(
-    ops: &[FOp<f32>],
-    fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let mut st = [[0.0f32; W]; V_STACK];
-    let mut sp = 0usize;
-    for op in ops {
-        match op {
-            FOp::Const(v) => {
-                st[sp] = [*v; W];
-                sp += 1;
-            }
-            FOp::Var(depth) => {
-                if *depth == lane_depth {
-                    for (l, lane) in st[sp].iter_mut().enumerate() {
-                        // Exact: the variable's interval was proven within
-                        // the f32-exact integer range.
-                        *lane = (x + l as i64) as f32;
-                    }
-                } else {
-                    st[sp] = [vars[*depth] as f32; W];
-                }
-                sp += 1;
-            }
-            FOp::Load(t) => {
-                st[sp] = load_tap_f32::<W>(&fused.taps[*t], tap_bases[*t], x, n, binds);
-                sp += 1;
-            }
-            FOp::Sqrt => {
-                for l in &mut st[sp - 1] {
-                    *l = l.sqrt();
-                }
-            }
-            FOp::Add | FOp::Sub | FOp::Mul | FOp::Div | FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                let (head, tail) = st.split_at_mut(sp - 1);
-                let a = &mut head[sp - 2];
-                let b = &tail[0];
-                match op {
-                    FOp::Add => {
-                        for l in 0..W {
-                            a[l] += b[l];
-                        }
-                    }
-                    FOp::Sub => {
-                        for l in 0..W {
-                            a[l] -= b[l];
-                        }
-                    }
-                    FOp::Mul => {
-                        for l in 0..W {
-                            a[l] *= b[l];
-                        }
-                    }
-                    FOp::Div => {
-                        for l in 0..W {
-                            a[l] /= b[l];
-                        }
-                    }
-                    FOp::Min => {
-                        for l in 0..W {
-                            a[l] = (a[l] as f64).min(b[l] as f64) as f32;
-                        }
-                    }
-                    FOp::Max => {
-                        for l in 0..W {
-                            a[l] = (a[l] as f64).max(b[l] as f64) as f32;
-                        }
-                    }
-                    FOp::Cmp(cmp) => {
-                        for l in 0..W {
-                            let (x, y) = (a[l], b[l]);
-                            a[l] = cmp_lanes(*cmp, x, y) as f32;
-                        }
-                    }
-                    _ => unreachable!("binary group"),
-                }
-                sp -= 1;
-            }
-            FOp::Sel => {
-                let (head, tail) = st.split_at_mut(sp - 2);
-                let c = &mut head[sp - 3];
-                let (t, f) = (&tail[0], &tail[1]);
-                for l in 0..W {
-                    c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                }
-                sp -= 2;
-            }
-        }
-    }
-    debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-    store_chunk_f32::<W>(fused, out_base, x, n, &st[0], binds);
-}
-
-/// Generate the contiguous chunk store of one integer lane family: truncate
-/// the lanes to the output type and write the first `n` lanes.
-macro_rules! int_chunk_store {
-    ($name:ident, $lane:ty) => {
-        #[inline]
-        fn $name<const W: usize>(
-            fused: &FusedKernel,
-            out_base: i64,
-            x: i64,
-            n: usize,
-            vals: &[$lane; W],
-            binds: &BindTable,
-        ) {
-            let bind = binds.0[fused.out_slot]
-                .as_ref()
-                .expect("store target bound");
-            let off = (out_base + x) as usize;
-            let n = n.min(W);
-            let mut tmp = [0u8; MAX_CHUNK * 8];
-            match fused.out_ty {
-                ScalarType::UInt8 => {
-                    for l in 0..n {
-                        tmp[l] = vals[l] as u8;
-                    }
-                    bind.write(off, &tmp[..n]);
-                }
-                ScalarType::UInt16 => {
-                    for l in 0..n {
-                        tmp[2 * l..2 * l + 2].copy_from_slice(&(vals[l] as u16).to_le_bytes());
-                    }
-                    bind.write(off * 2, &tmp[..n * 2]);
-                }
-                ScalarType::UInt32 => {
-                    for l in 0..n {
-                        tmp[4 * l..4 * l + 4].copy_from_slice(&(vals[l] as u32).to_le_bytes());
-                    }
-                    bind.write(off * 4, &tmp[..n * 4]);
-                }
-                ScalarType::Int32 => {
-                    for l in 0..n {
-                        tmp[4 * l..4 * l + 4].copy_from_slice(&(vals[l] as i32).to_le_bytes());
-                    }
-                    bind.write(off * 4, &tmp[..n * 4]);
-                }
-                ScalarType::UInt64 => {
-                    for l in 0..n {
-                        tmp[8 * l..8 * l + 8].copy_from_slice(&(vals[l] as u64).to_le_bytes());
-                    }
-                    bind.write(off * 8, &tmp[..n * 8]);
-                }
-                _ => unreachable!("integer fused outputs are integer-typed"),
-            }
-        }
-    };
-}
-
-int_chunk_store!(store_chunk_i32, i32);
-int_chunk_store!(store_chunk_i64, i64);
-
-/// Contiguous `[f32; W]` chunk store: write the first `n` lanes bit-exactly.
 #[inline]
-fn store_chunk_f32<const W: usize>(
-    fused: &FusedKernel,
-    out_base: i64,
-    x: i64,
-    n: usize,
-    vals: &[f32; W],
-    binds: &BindTable,
-) {
-    debug_assert_eq!(fused.out_ty, ScalarType::Float32);
-    let bind = binds.0[fused.out_slot]
-        .as_ref()
-        .expect("store target bound");
-    let off = (out_base + x) as usize;
-    let n = n.min(W);
-    let mut tmp = [0u8; MAX_CHUNK * 4];
-    for l in 0..n {
-        tmp[4 * l..4 * l + 4].copy_from_slice(&vals[l].to_le_bytes());
-    }
-    bind.write(off * 4, &tmp[..n * 4]);
-}
-
-/// Run one `[f64; W/2]` fused kernel chunk. Every op mirrors the reference
-/// evaluator's f64 op directly — the lanes hold the reference values, so no
-/// rounding-point bookkeeping exists on this family.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_f64<const W: usize>(
-    ops: &[FOp<f64>],
-    fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let lanes = eval_chunk_f64::<W>(ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-    store_chunk_f64::<W>(fused, out_base, x, n, &lanes, binds);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_chunk_f64<const W: usize>(
-    ops: &[FOp<f64>],
-    taps: &[TapAccess],
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) -> [f64; W] {
-    let mut st = [[0.0f64; W]; V_STACK];
-    let mut sp = 0usize;
-    for op in ops {
-        match op {
-            FOp::Const(v) => {
-                st[sp] = [*v; W];
-                sp += 1;
-            }
-            FOp::Var(depth) => {
-                if *depth == lane_depth {
-                    for (l, lane) in st[sp].iter_mut().enumerate() {
-                        // Exact: the variable's interval was proven within
-                        // the f64-exact integer range.
-                        *lane = (x + l as i64) as f64;
-                    }
-                } else {
-                    st[sp] = [vars[*depth] as f64; W];
-                }
-                sp += 1;
-            }
-            FOp::Load(t) => {
-                st[sp] = load_tap_f64::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                sp += 1;
-            }
-            FOp::Sqrt => {
-                for l in &mut st[sp - 1] {
-                    *l = l.sqrt();
-                }
-            }
-            FOp::Add | FOp::Sub | FOp::Mul | FOp::Div | FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                let (head, tail) = st.split_at_mut(sp - 1);
-                let a = &mut head[sp - 2];
-                let b = &tail[0];
-                match op {
-                    FOp::Add => {
-                        for l in 0..W {
-                            a[l] += b[l];
-                        }
-                    }
-                    FOp::Sub => {
-                        for l in 0..W {
-                            a[l] -= b[l];
-                        }
-                    }
-                    FOp::Mul => {
-                        for l in 0..W {
-                            a[l] *= b[l];
-                        }
-                    }
-                    FOp::Div => {
-                        for l in 0..W {
-                            a[l] /= b[l];
-                        }
-                    }
-                    FOp::Min => {
-                        // f64::min IS eval_binop's float branch here.
-                        for l in 0..W {
-                            a[l] = a[l].min(b[l]);
-                        }
-                    }
-                    FOp::Max => {
-                        for l in 0..W {
-                            a[l] = a[l].max(b[l]);
-                        }
-                    }
-                    FOp::Cmp(cmp) => {
-                        for l in 0..W {
-                            let (x, y) = (a[l], b[l]);
-                            a[l] = cmp_lanes(*cmp, x, y) as f64;
-                        }
-                    }
-                    _ => unreachable!("binary group"),
-                }
-                sp -= 1;
-            }
-            FOp::Sel => {
-                let (head, tail) = st.split_at_mut(sp - 2);
-                let c = &mut head[sp - 3];
-                let (t, f) = (&tail[0], &tail[1]);
-                for l in 0..W {
-                    c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                }
-                sp -= 2;
-            }
-        }
-    }
-    debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-    st[0]
-}
-
-/// Contiguous `[f64; W/2]` chunk store: write the first `n` lanes bit-exactly.
-#[inline]
-fn store_chunk_f64<const W: usize>(
-    fused: &FusedKernel,
-    out_base: i64,
-    x: i64,
-    n: usize,
-    vals: &[f64; W],
-    binds: &BindTable,
-) {
-    debug_assert_eq!(fused.out_ty, ScalarType::Float64);
-    let bind = binds.0[fused.out_slot]
-        .as_ref()
-        .expect("store target bound");
-    let off = (out_base + x) as usize;
-    let n = n.min(W);
-    let mut tmp = [0u8; MAX_CHUNK * 8];
-    for l in 0..n {
-        tmp[8 * l..8 * l + 8].copy_from_slice(&vals[l].to_le_bytes());
-    }
-    bind.write(off * 8, &tmp[..n * 8]);
-}
-
-#[inline]
-fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
+fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i64 {
     (match op {
         CmpOp::Eq => x == y,
         CmpOp::Ne => x != y,
@@ -5381,42 +4992,29 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
         CmpOp::Le => x <= y,
         CmpOp::Gt => x > y,
         CmpOp::Ge => x >= y,
-    }) as i32
+    }) as i64
 }
 
 // ---------------------------------------------------------------------------
-// Hand-written AVX2 chunk evaluators (`core::arch::x86_64`)
+// The AVX2 float plan evaluators (`core::arch::x86_64`)
 // ---------------------------------------------------------------------------
 
-/// Explicit AVX2 implementations of the fused chunk evaluators, dispatched
-/// by [`dispatch_fused_chunk`] / [`dispatch_reduce_chunk`] when the resolved
+/// The one hand-written ISA path: float kernels with at most [`A_TAPS`] taps
+/// run their pre-fused [`AOp`] plan register-resident in `__m256`/`__m256d`
+/// registers, dispatched by [`dispatch_fused_chunk`] when the resolved
 /// [`Target`] carries [`crate::target::Feature::Avx2`] and the running CPU
-/// confirms it (see [`Target::effective_isa`]). The portable constant-trip
-/// lane loops above remain the oracle; everything here must be — and per
-/// `tests/prop_simd.rs` is — **bit-identical** to them:
+/// confirms it (see [`Target::effective_isa`]). Everything else — every
+/// integer kernel, every reduction, float kernels with more taps — runs the
+/// portable generic evaluators, which the benches showed LLVM vectorizes as
+/// well as hand-written intrinsics did.
 ///
-/// - Integer ops are wrapping two's-complement on both paths, so every
-///   `VOp` has an exact vector form: `Axpy`/`MulC`/`Mul` via
-///   `_mm256_mullo_epi32` (i32) or the `mul_epu32` cross-term emulation
-///   (i64 — AVX2 has no 64-bit mullo), shifts via `_mm256_srl/sll` with the
-///   count register, clamp via `min/max_epi32`/`min/max_epu32` (i32) or
-///   `cmpgt_epi64` + `blendv` (i64). Ops with no profitable AVX2 form
-///   (comparisons-to-0/1, selects, the rare i64 unsigned min/max and
-///   `Sext32`) run the same scalar lane loops as the portable evaluator —
-///   trivially identical, and still compiled with AVX2 enabled.
-/// - Float arch coverage is exactly the IEEE-exact single-rounding ops
-///   (`Add`/`Sub`/`Mul`/`Div`/`Sqrt` — one rounding per op on both paths,
-///   so `_mm256_*_ps/pd` are bit-identical by IEEE 754). `Min`/`Max`/`Cmp`
-///   keep the portable scalar bodies: `_mm256_min_ps` resolves NaN and ±0
-///   operands differently from the reference's `f64::min`, and the
-///   differential matrix includes NaN inputs.
-/// - The tree-reduce epilogue halves with `_mm256_add_epi32/epi64` — the
-///   same reduction shape, wrapping addition, any order exact.
-///
-/// Tap loading and chunk stores reuse the portable helpers (`load_tap_*`,
-/// `store_chunk_*`): they fill stack arrays, which keeps masked tails from
-/// ever issuing an out-of-bounds vector load, and the vector ops read the
-/// arrays with unaligned loads.
+/// The portable evaluator stays the oracle; the plan evaluator must be — and
+/// per `tests/prop_simd.rs` is — **bit-identical** to it: vector bodies exist
+/// only for the IEEE-exact single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/
+/// `Sqrt`, one rounding per op on both paths, so `_mm256_*_ps/pd` agree by
+/// IEEE 754). `Min`/`Max`/`Cmp`/`Sel` spill to lanes and reuse the scalar
+/// bodies: `_mm256_min_ps` resolves NaN and ±0 operands differently from the
+/// reference's `f64::min`, and the differential matrix includes NaN inputs.
 ///
 /// SAFETY: every `#[target_feature(enable = "avx2")]` fn below must only be
 /// reached via [`Isa::Avx2`], which `Target::effective_isa` returns only
@@ -5425,747 +5023,6 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
 mod arch {
     use super::*;
     use std::arch::x86_64::*;
-
-    // -- 256-bit block helpers over `[T; W]` stack arrays -------------------
-    // W is a multiple of 8 for i32/f32 chunks and of 4 for i64/f64 chunks,
-    // so the block loops cover the arrays exactly.
-
-    /// `a[l] = a[l] OP b[l]` for a two-operand `si256` op.
-    macro_rules! avx2_bin_i32 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i32; W], b: &[i32; W]) {
-                let mut i = 0;
-                while i + 8 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, $intr(va, vb));
-                    i += 8;
-                }
-            }
-        };
-    }
-
-    avx2_bin_i32!(add_i32, _mm256_add_epi32);
-    avx2_bin_i32!(sub_i32, _mm256_sub_epi32);
-    avx2_bin_i32!(mul_i32, _mm256_mullo_epi32);
-    avx2_bin_i32!(and_i32, _mm256_and_si256);
-    avx2_bin_i32!(or_i32, _mm256_or_si256);
-    avx2_bin_i32!(xor_i32, _mm256_xor_si256);
-    avx2_bin_i32!(mins_i32, _mm256_min_epi32);
-    avx2_bin_i32!(maxs_i32, _mm256_max_epi32);
-    avx2_bin_i32!(minu_i32, _mm256_min_epu32);
-    avx2_bin_i32!(maxu_i32, _mm256_max_epu32);
-
-    /// `a[l] = a[l] OP c` for a broadcast constant.
-    macro_rules! avx2_binc_i32 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i32; W], c: i32) {
-                let vc = _mm256_set1_epi32(c);
-                let mut i = 0;
-                while i + 8 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, $intr(va, vc));
-                    i += 8;
-                }
-            }
-        };
-    }
-
-    avx2_binc_i32!(addc_i32, _mm256_add_epi32);
-    avx2_binc_i32!(mulc_i32, _mm256_mullo_epi32);
-    avx2_binc_i32!(andc_i32, _mm256_and_si256);
-    avx2_binc_i32!(orc_i32, _mm256_or_si256);
-    avx2_binc_i32!(xorc_i32, _mm256_xor_si256);
-
-    /// `a[l] += coeff * v[l]` (wrapping) — the Axpy tap-accumulation spine
-    /// of stencil kernels.
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i32<const W: usize>(a: &mut [i32; W], v: &[i32; W], coeff: i32) {
-        let vc = _mm256_set1_epi32(coeff);
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vv = _mm256_loadu_si256(v.as_ptr().add(i) as *const __m256i);
-            let prod = _mm256_mullo_epi32(vv, vc);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_add_epi32(va, prod),
-            );
-            i += 8;
-        }
-    }
-
-    /// Logical shift right; counts ≥ 32 yield 0, matching the portable
-    /// `(l as u32) >> s` domain (compile guarantees `s < 32`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn shru_i32<const W: usize>(a: &mut [i32; W], s: u32) {
-        let count = _mm_cvtsi32_si128(s as i32);
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_srl_epi32(va, count),
-            );
-            i += 8;
-        }
-    }
-
-    /// Wrapping shift left: the count is masked mod 32 exactly like
-    /// `i32::wrapping_shl`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn shl_i32<const W: usize>(a: &mut [i32; W], s: u32) {
-        let count = _mm_cvtsi32_si128((s & 31) as i32);
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_sll_epi32(va, count),
-            );
-            i += 8;
-        }
-    }
-
-    macro_rules! avx2_bin_i64 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-                let mut i = 0;
-                while i + 4 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, $intr(va, vb));
-                    i += 4;
-                }
-            }
-        };
-    }
-
-    avx2_bin_i64!(add_i64, _mm256_add_epi64);
-    avx2_bin_i64!(sub_i64, _mm256_sub_epi64);
-    avx2_bin_i64!(and_i64, _mm256_and_si256);
-    avx2_bin_i64!(or_i64, _mm256_or_si256);
-    avx2_bin_i64!(xor_i64, _mm256_xor_si256);
-
-    /// 64-bit wrapping mullo — AVX2 has no `_mm256_mullo_epi64`, so build it
-    /// from 32×32→64 partial products: `lo(a)·lo(b) + ((hi(a)·lo(b) +
-    /// lo(a)·hi(b)) << 32)`, which is exactly `a·b mod 2^64`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mullo64(a: __m256i, b: __m256i) -> __m256i {
-        let a_hi = _mm256_srli_epi64(a, 32);
-        let b_hi = _mm256_srli_epi64(b, 32);
-        let lo = _mm256_mul_epu32(a, b);
-        let cross1 = _mm256_mul_epu32(a_hi, b);
-        let cross2 = _mm256_mul_epu32(a, b_hi);
-        let cross = _mm256_slli_epi64(_mm256_add_epi64(cross1, cross2), 32);
-        _mm256_add_epi64(lo, cross)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_i64<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, mullo64(va, vb));
-            i += 4;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i64<const W: usize>(a: &mut [i64; W], v: &[i64; W], coeff: i64) {
-        let vc = _mm256_set1_epi64x(coeff);
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vv = _mm256_loadu_si256(v.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_add_epi64(va, mullo64(vv, vc)),
-            );
-            i += 4;
-        }
-    }
-
-    /// `a[l] = a[l] OP set1(c)` on i64 lanes, routed through `$apply`.
-    macro_rules! avx2_binc_i64 {
-        ($name:ident, $apply:expr) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i64; W], c: i64) {
-                let vc = _mm256_set1_epi64x(c);
-                let mut i = 0;
-                while i + 4 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    #[allow(clippy::redundant_closure_call)]
-                    let r = $apply(va, vc);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, r);
-                    i += 4;
-                }
-            }
-        };
-    }
-
-    avx2_binc_i64!(addc_i64, |a, c| _mm256_add_epi64(a, c));
-    avx2_binc_i64!(mulc_i64, |a, c| mullo64(a, c));
-    avx2_binc_i64!(andc_i64, |a, c| _mm256_and_si256(a, c));
-    avx2_binc_i64!(orc_i64, |a, c| _mm256_or_si256(a, c));
-    avx2_binc_i64!(xorc_i64, |a, c| _mm256_xor_si256(a, c));
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn shru_i64<const W: usize>(a: &mut [i64; W], s: u32) {
-        let count = _mm_cvtsi32_si128(s as i32);
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_srl_epi64(va, count),
-            );
-            i += 4;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn shl_i64<const W: usize>(a: &mut [i64; W], s: u32) {
-        let count = _mm_cvtsi32_si128((s & 63) as i32);
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_sll_epi64(va, count),
-            );
-            i += 4;
-        }
-    }
-
-    /// Signed 64-bit min/max via `cmpgt` + byte blend (AVX2 has no
-    /// `min/max_epi64`): `blendv(b, a, a OP b)` keeps `a` where the mask is
-    /// set. Ties (equal lanes) pick either operand — identical values.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mins_i64<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let b_gt_a = _mm256_cmpgt_epi64(vb, va);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_blendv_epi8(vb, va, b_gt_a),
-            );
-            i += 4;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn maxs_i64<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let a_gt_b = _mm256_cmpgt_epi64(va, vb);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_blendv_epi8(vb, va, a_gt_b),
-            );
-            i += 4;
-        }
-    }
-
-    /// `a[l] = a[l] OP b[l]` on float lanes: IEEE-exact single-rounding ops
-    /// only (each vector op rounds once, exactly like the portable scalar).
-    macro_rules! avx2_bin_f32 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [f32; W], b: &[f32; W]) {
-                let mut i = 0;
-                while i + 8 <= W {
-                    let va = _mm256_loadu_ps(a.as_ptr().add(i));
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-                    _mm256_storeu_ps(a.as_mut_ptr().add(i), $intr(va, vb));
-                    i += 8;
-                }
-            }
-        };
-    }
-
-    avx2_bin_f32!(add_f32, _mm256_add_ps);
-    avx2_bin_f32!(sub_f32, _mm256_sub_ps);
-    avx2_bin_f32!(mul_f32, _mm256_mul_ps);
-    avx2_bin_f32!(div_f32, _mm256_div_ps);
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn sqrt_f32<const W: usize>(a: &mut [f32; W]) {
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            _mm256_storeu_ps(a.as_mut_ptr().add(i), _mm256_sqrt_ps(va));
-            i += 8;
-        }
-    }
-
-    macro_rules! avx2_bin_f64 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [f64; W], b: &[f64; W]) {
-                let mut i = 0;
-                while i + 4 <= W {
-                    let va = _mm256_loadu_pd(a.as_ptr().add(i));
-                    let vb = _mm256_loadu_pd(b.as_ptr().add(i));
-                    _mm256_storeu_pd(a.as_mut_ptr().add(i), $intr(va, vb));
-                    i += 4;
-                }
-            }
-        };
-    }
-
-    avx2_bin_f64!(add_f64, _mm256_add_pd);
-    avx2_bin_f64!(sub_f64, _mm256_sub_pd);
-    avx2_bin_f64!(mul_f64, _mm256_mul_pd);
-    avx2_bin_f64!(div_f64, _mm256_div_pd);
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn sqrt_f64<const W: usize>(a: &mut [f64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_pd(a.as_ptr().add(i));
-            _mm256_storeu_pd(a.as_mut_ptr().add(i), _mm256_sqrt_pd(va));
-            i += 4;
-        }
-    }
-
-    // -- Chunk evaluators ---------------------------------------------------
-
-    /// AVX2 `[i32; W]` chunk evaluator: the portable stack machine with the
-    /// hot op bodies replaced by the block helpers above. Comparisons and
-    /// selects keep the scalar lane loops (no profitable 0/1-mask form).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_i32_avx2<const W: usize>(
-        ops: &[VOp<i32>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [i32; W] {
-        let mut st = [[0i32; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                VOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                VOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        let base = x as i32;
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = base + l as i32;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth] as i32; W];
-                    }
-                    sp += 1;
-                }
-                VOp::Load(t) => {
-                    st[sp] = load_tap_i32::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                VOp::Axpy { tap, coeff } => {
-                    let v = load_tap_i32::<W>(&taps[*tap], tap_bases[*tap], x, n, binds);
-                    axpy_i32(&mut st[sp - 1], &v, *coeff);
-                }
-                VOp::AddC(c) => addc_i32(&mut st[sp - 1], *c),
-                VOp::MulC(c) => mulc_i32(&mut st[sp - 1], *c),
-                VOp::AndC(c) => andc_i32(&mut st[sp - 1], *c),
-                VOp::OrC(c) => orc_i32(&mut st[sp - 1], *c),
-                VOp::XorC(c) => xorc_i32(&mut st[sp - 1], *c),
-                VOp::Mask(m) => andc_i32(&mut st[sp - 1], *m),
-                VOp::ShrU(s) => shru_i32(&mut st[sp - 1], *s),
-                VOp::Shl(s) => shl_i32(&mut st[sp - 1], *s),
-                VOp::Sext32 => {
-                    // Identity on i32 lanes (never emitted here; kept total).
-                }
-                VOp::Add
-                | VOp::Sub
-                | VOp::Mul
-                | VOp::And
-                | VOp::Or
-                | VOp::Xor
-                | VOp::MinS
-                | VOp::MaxS
-                | VOp::MinU
-                | VOp::MaxU => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        VOp::Add => add_i32(a, b),
-                        VOp::Sub => sub_i32(a, b),
-                        VOp::Mul => mul_i32(a, b),
-                        VOp::And => and_i32(a, b),
-                        VOp::Or => or_i32(a, b),
-                        VOp::Xor => xor_i32(a, b),
-                        VOp::MinS => mins_i32(a, b),
-                        VOp::MaxS => maxs_i32(a, b),
-                        VOp::MinU => minu_i32(a, b),
-                        VOp::MaxU => maxu_i32(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpS(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l], b[l]);
-                        a[l] = cmp_lanes(*cmp, x, y);
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpU(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l] as u32, b[l] as u32);
-                        a[l] = cmp_lanes(*cmp, x, y);
-                    }
-                    sp -= 1;
-                }
-                VOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
-
-    /// AVX2 `[i64; W/2]` chunk evaluator. Multiplies use the `mullo64`
-    /// emulation; `MinU`/`MaxU`, comparisons, selects and `Sext32` keep the
-    /// scalar lane loops.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_i64_avx2<const W: usize>(
-        ops: &[VOp<i64>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [i64; W] {
-        let mut st = [[0i64; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                VOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                VOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = x + l as i64;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth]; W];
-                    }
-                    sp += 1;
-                }
-                VOp::Load(t) => {
-                    st[sp] = load_tap_i64::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                VOp::Axpy { tap, coeff } => {
-                    let v = load_tap_i64::<W>(&taps[*tap], tap_bases[*tap], x, n, binds);
-                    axpy_i64(&mut st[sp - 1], &v, *coeff);
-                }
-                VOp::AddC(c) => addc_i64(&mut st[sp - 1], *c),
-                VOp::MulC(c) => mulc_i64(&mut st[sp - 1], *c),
-                VOp::AndC(c) => andc_i64(&mut st[sp - 1], *c),
-                VOp::OrC(c) => orc_i64(&mut st[sp - 1], *c),
-                VOp::XorC(c) => xorc_i64(&mut st[sp - 1], *c),
-                VOp::Mask(m) => andc_i64(&mut st[sp - 1], *m),
-                VOp::ShrU(s) => shru_i64(&mut st[sp - 1], *s),
-                VOp::Shl(s) => shl_i64(&mut st[sp - 1], *s),
-                VOp::Sext32 => {
-                    for l in &mut st[sp - 1] {
-                        *l = (*l as i32) as i64;
-                    }
-                }
-                VOp::Add
-                | VOp::Sub
-                | VOp::Mul
-                | VOp::And
-                | VOp::Or
-                | VOp::Xor
-                | VOp::MinS
-                | VOp::MaxS => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        VOp::Add => add_i64(a, b),
-                        VOp::Sub => sub_i64(a, b),
-                        VOp::Mul => mul_i64(a, b),
-                        VOp::And => and_i64(a, b),
-                        VOp::Or => or_i64(a, b),
-                        VOp::Xor => xor_i64(a, b),
-                        VOp::MinS => mins_i64(a, b),
-                        VOp::MaxS => maxs_i64(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                VOp::MinU | VOp::MaxU => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l] as u64, b[l] as u64);
-                        a[l] = if matches!(op, VOp::MinU) {
-                            x.min(y)
-                        } else {
-                            x.max(y)
-                        } as i64;
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpS(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l], b[l]);
-                        a[l] = cmp_lanes(*cmp, x, y) as i64;
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpU(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l] as u64, b[l] as u64);
-                        a[l] = cmp_lanes(*cmp, x, y) as i64;
-                    }
-                    sp -= 1;
-                }
-                VOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
-
-    /// AVX2 `[f32; W]` chunk evaluator: vector bodies for the IEEE-exact
-    /// single-rounding ops only; `Min`/`Max`/`Cmp`/`Sel` keep the portable
-    /// scalar bodies (NaN/±0 semantics; see the module docs).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_f32_avx2<const W: usize>(
-        ops: &[FOp<f32>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [f32; W] {
-        let mut st = [[0.0f32; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                FOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                FOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = (x + l as i64) as f32;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth] as f32; W];
-                    }
-                    sp += 1;
-                }
-                FOp::Load(t) => {
-                    st[sp] = load_tap_f32::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                FOp::Sqrt => sqrt_f32(&mut st[sp - 1]),
-                FOp::Add | FOp::Sub | FOp::Mul | FOp::Div => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Add => add_f32(a, b),
-                        FOp::Sub => sub_f32(a, b),
-                        FOp::Mul => mul_f32(a, b),
-                        FOp::Div => div_f32(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Min => {
-                            for l in 0..W {
-                                a[l] = (a[l] as f64).min(b[l] as f64) as f32;
-                            }
-                        }
-                        FOp::Max => {
-                            for l in 0..W {
-                                a[l] = (a[l] as f64).max(b[l] as f64) as f32;
-                            }
-                        }
-                        FOp::Cmp(cmp) => {
-                            for l in 0..W {
-                                let (x, y) = (a[l], b[l]);
-                                a[l] = cmp_lanes(*cmp, x, y) as f32;
-                            }
-                        }
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
-
-    /// AVX2 `[f64; W/2]` chunk evaluator (same coverage split as f32).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_f64_avx2<const W: usize>(
-        ops: &[FOp<f64>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [f64; W] {
-        let mut st = [[0.0f64; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                FOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                FOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = (x + l as i64) as f64;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth] as f64; W];
-                    }
-                    sp += 1;
-                }
-                FOp::Load(t) => {
-                    st[sp] = load_tap_f64::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                FOp::Sqrt => sqrt_f64(&mut st[sp - 1]),
-                FOp::Add | FOp::Sub | FOp::Mul | FOp::Div => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Add => add_f64(a, b),
-                        FOp::Sub => sub_f64(a, b),
-                        FOp::Mul => mul_f64(a, b),
-                        FOp::Div => div_f64(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Min => {
-                            for l in 0..W {
-                                a[l] = a[l].min(b[l]);
-                            }
-                        }
-                        FOp::Max => {
-                            for l in 0..W {
-                                a[l] = a[l].max(b[l]);
-                            }
-                        }
-                        FOp::Cmp(cmp) => {
-                            for l in 0..W {
-                                let (x, y) = (a[l], b[l]);
-                                a[l] = cmp_lanes(*cmp, x, y) as f64;
-                            }
-                        }
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
-
-    /// Maximum tap count the plan evaluators stage per chunk. Kernels with
-    /// more taps fall back to the full-chunk stack evaluators above (still
-    /// AVX2, just without the register-resident plan).
-    pub(super) const A_TAPS: usize = 16;
 
     /// One register-width tap load for the plan evaluators: streamed straight
     /// from the buffer when the chunk staging proved the direct pointer, else
@@ -6215,22 +5072,19 @@ mod arch {
     /// identical operand order as the portable evaluator (`AOp`'s contract);
     /// `Min`/`Max`/`Cmp`/`Sel` spill to lanes and reuse the scalar bodies.
     macro_rules! plan_eval {
-        ($name:ident, $elem:ty, $vec:ty, $vw:literal, $set1:ident, $loadu:ident,
+        ($name:ident, $elem:ty, $vw:literal, $set1:ident, $loadu:ident,
          $storeu:ident, $zero:ident, $add:ident, $sub:ident, $mul:ident,
-         $div:ident, $sqrt:ident, $direct_ty:pat, $esize:literal,
-         $minmax:expr, $load_tap:ident, $tap_vec:ident) => {
+         $div:ident, $sqrt:ident, $direct_ty:pat, $tap_vec:ident) => {
+            /// # Safety
+            /// The running CPU must support AVX2 (see [`run_plan_chunk`]).
             #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
             unsafe fn $name<const W: usize>(
                 plan: &[AOp<$elem>],
-                taps: &[TapAccess],
+                row: &Row,
                 x: i64,
                 n: usize,
-                tap_bases: &[i64],
-                lane_depth: usize,
-                binds: &BindTable,
-                vars: &[i64],
             ) -> [$elem; W] {
+                let esize = core::mem::size_of::<$elem>();
                 // Stage every tap once. A null pointer means "use the
                 // materialized array"; a non-null one streams loads directly
                 // from the bound buffer bytes (valid: the `get` proved
@@ -6241,25 +5095,25 @@ mod arch {
                 // more than the kernel itself.
                 let mut ptrs = [core::ptr::null::<$elem>(); A_TAPS];
                 let mut arrs = [const { core::mem::MaybeUninit::<[$elem; W]>::uninit() }; A_TAPS];
-                for (t, tap) in taps.iter().enumerate() {
+                for (t, tap) in row.taps.iter().enumerate() {
                     let mut direct = None;
                     if matches!(tap.lane, TapLane::Contiguous)
                         && matches!(tap.ty, $direct_ty)
                         && n >= W
                     {
-                        let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
+                        let bind = row.binds.0[tap.slot].as_ref().expect("tap source bound");
                         let data = bind.data();
-                        direct = usize::try_from(tap_bases[t] + x)
+                        direct = usize::try_from(row.tap_bases[t] + x)
                             .ok()
-                            .and_then(|o| o.checked_mul($esize))
-                            .and_then(|b| Some((b, b.checked_add(W * $esize)?)))
+                            .and_then(|o| o.checked_mul(esize))
+                            .and_then(|b| Some((b, b.checked_add(W * esize)?)))
                             .and_then(|(b, e)| data.get(b..e))
                             .map(|s| s.as_ptr() as *const $elem);
                     }
                     match direct {
                         Some(p) => ptrs[t] = p,
                         None => {
-                            arrs[t].write($load_tap::<W>(tap, tap_bases[t], x, n, binds));
+                            arrs[t].write(row.load(t, x, n));
                         }
                     }
                 }
@@ -6304,7 +5158,7 @@ mod arch {
                             }
                         }
                         AOp::Op(FOp::Var(depth)) => {
-                            if *depth == lane_depth {
+                            if *depth == row.lane_depth {
                                 let mut tmp = [0.0 as $elem; MAX_CHUNK];
                                 for (l, lane) in tmp.iter_mut().enumerate().take(W) {
                                     *lane = (x + l as i64) as $elem;
@@ -6313,7 +5167,7 @@ mod arch {
                                     acc[b] = $loadu(tmp.as_ptr().add(b * $vw));
                                 }
                             } else {
-                                let s = $set1(vars[*depth] as $elem);
+                                let s = $set1(row.vars[*depth] as $elem);
                                 for a in acc.iter_mut().take(blk) {
                                     *a = s;
                                 }
@@ -6424,14 +5278,14 @@ mod arch {
                                 sp += 1;
                             }
                             AOp::Op(FOp::Var(depth)) => {
-                                if *depth == lane_depth {
+                                if *depth == row.lane_depth {
                                     let mut tmp = [0.0 as $elem; $vw];
                                     for (l, lane) in tmp.iter_mut().enumerate() {
                                         *lane = (x + (o + l) as i64) as $elem;
                                     }
                                     st[sp] = $loadu(tmp.as_ptr());
                                 } else {
-                                    st[sp] = $set1(vars[*depth] as $elem);
+                                    st[sp] = $set1(row.vars[*depth] as $elem);
                                 }
                                 sp += 1;
                             }
@@ -6461,18 +5315,13 @@ mod arch {
                                 let mut b = [0.0 as $elem; $vw];
                                 $storeu(a.as_mut_ptr(), st[sp - 2]);
                                 $storeu(b.as_mut_ptr(), st[sp - 1]);
-                                match op {
-                                    FOp::Min | FOp::Max => {
-                                        #[allow(clippy::redundant_closure_call)]
-                                        ($minmax)(&mut a, &b, matches!(op, FOp::Min));
-                                    }
-                                    FOp::Cmp(cmp) => {
-                                        for l in 0..$vw {
-                                            let (x, y) = (a[l], b[l]);
-                                            a[l] = cmp_lanes(*cmp, x, y) as $elem;
-                                        }
-                                    }
-                                    _ => unreachable!("scalar-body group"),
+                                for l in 0..$vw {
+                                    a[l] = match op {
+                                        FOp::Min => a[l].min_ref(b[l]),
+                                        FOp::Max => a[l].max_ref(b[l]),
+                                        FOp::Cmp(cmp) => cmp_lanes(*cmp, a[l], b[l]) as $elem,
+                                        _ => unreachable!("scalar-body group"),
+                                    };
                                 }
                                 st[sp - 2] = $loadu(a.as_ptr());
                                 sp -= 1;
@@ -6536,7 +5385,6 @@ mod arch {
     plan_eval!(
         eval_plan_f32_avx2,
         f32,
-        __m256,
         8,
         _mm256_set1_ps,
         _mm256_loadu_ps,
@@ -6548,25 +5396,12 @@ mod arch {
         _mm256_div_ps,
         _mm256_sqrt_ps,
         ScalarType::Float32,
-        4,
-        // Portable f32 Min/Max evaluates in f64 per lane (see FOp::Min).
-        |a: &mut [f32; 8], b: &[f32; 8], is_min: bool| {
-            for l in 0..8 {
-                a[l] = if is_min {
-                    (a[l] as f64).min(b[l] as f64) as f32
-                } else {
-                    (a[l] as f64).max(b[l] as f64) as f32
-                };
-            }
-        },
-        load_tap_f32,
         tap_vec_f32
     );
 
     plan_eval!(
         eval_plan_f64_avx2,
         f64,
-        __m256d,
         4,
         _mm256_set1_pd,
         _mm256_loadu_pd,
@@ -6578,168 +5413,37 @@ mod arch {
         _mm256_div_pd,
         _mm256_sqrt_pd,
         ScalarType::Float64,
-        8,
-        |a: &mut [f64; 4], b: &[f64; 4], is_min: bool| {
-            for l in 0..4 {
-                a[l] = if is_min {
-                    a[l].min(b[l])
-                } else {
-                    a[l].max(b[l])
-                };
-            }
-        },
-        load_tap_f64,
         tap_vec_f64
     );
 
-    /// AVX2 wrapping tree-sum of the first `n` i32 lanes: vector halving
-    /// adds down to one 256-bit register, then a scalar finish. Any order
-    /// is exact for wrapping addition.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tree_sum_i32_avx2<const W: usize>(mut lanes: [i32; W], n: usize) -> i32 {
-        for lane in lanes.iter_mut().skip(n) {
-            *lane = 0;
-        }
-        let mut width = W;
-        while width > 8 {
-            width /= 2;
-            let mut i = 0;
-            while i + 8 <= width {
-                let lo = _mm256_loadu_si256(lanes.as_ptr().add(i) as *const __m256i);
-                let hi = _mm256_loadu_si256(lanes.as_ptr().add(i + width) as *const __m256i);
-                _mm256_storeu_si256(
-                    lanes.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_add_epi32(lo, hi),
-                );
-                i += 8;
-            }
-        }
-        while width > 1 {
-            width /= 2;
-            for l in 0..width {
-                lanes[l] = lanes[l].wrapping_add(lanes[l + width]);
-            }
-        }
-        lanes[0]
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn tree_sum_i64_avx2<const W: usize>(mut lanes: [i64; W], n: usize) -> i64 {
-        for lane in lanes.iter_mut().skip(n) {
-            *lane = 0;
-        }
-        let mut width = W;
-        while width > 4 {
-            width /= 2;
-            let mut i = 0;
-            while i + 4 <= width {
-                let lo = _mm256_loadu_si256(lanes.as_ptr().add(i) as *const __m256i);
-                let hi = _mm256_loadu_si256(lanes.as_ptr().add(i + width) as *const __m256i);
-                _mm256_storeu_si256(
-                    lanes.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_add_epi64(lo, hi),
-                );
-                i += 4;
-            }
-        }
-        while width > 1 {
-            width /= 2;
-            for l in 0..width {
-                lanes[l] = lanes[l].wrapping_add(lanes[l + width]);
-            }
-        }
-        lanes[0]
-    }
-
-    // -- Dispatch (the `arch` twins of the portable dispatchers) ------------
-
-    /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn dispatch_fused_chunk_avx2(
+    /// Evaluate and store one chunk of a float kernel through its arch plan
+    /// at width `w` (the widths [`run_chunk`] uses).
+    ///
+    /// # Safety
+    /// The running CPU must support AVX2: callers reach this only through
+    /// [`Isa::Avx2`], which `Target::effective_isa` returns only after
+    /// `is_x86_feature_detected!("avx2")` succeeded.
+    pub(super) unsafe fn run_plan_chunk(
+        plan: &ArchPlan,
         fused: &FusedKernel,
+        row: &Row,
+        out_base: i64,
         x: i64,
         w: usize,
         n: usize,
-        tap_bases: &[i64],
-        out_base: i64,
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
     ) {
         macro_rules! run {
-            ($eval:ident, $store:ident, $ops:expr, $w:literal) => {{
-                let lanes =
-                    $eval::<$w>($ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-                $store::<$w>(fused, out_base, x, n, &lanes, binds);
-            }};
+            ($eval:ident, $plan:expr, $w:literal) => {
+                store_chunk::<_, $w>(fused, out_base, x, n, &$eval($plan, row, x, n), row.binds)
+            };
         }
-        match (&fused.prog, w) {
-            (LaneProgram::I32(ops), 32) => run!(eval_chunk_i32_avx2, store_chunk_i32, ops, 32),
-            (LaneProgram::I32(ops), 16) => run!(eval_chunk_i32_avx2, store_chunk_i32, ops, 16),
-            (LaneProgram::I32(ops), _) => run!(eval_chunk_i32_avx2, store_chunk_i32, ops, 8),
-            (LaneProgram::I64(ops), 16) => run!(eval_chunk_i64_avx2, store_chunk_i64, ops, 16),
-            (LaneProgram::I64(ops), 8) => run!(eval_chunk_i64_avx2, store_chunk_i64, ops, 8),
-            (LaneProgram::I64(ops), _) => run!(eval_chunk_i64_avx2, store_chunk_i64, ops, 4),
-            // Float kernels prefer the register-resident plan evaluators
-            // (bit-identical; see `AOp`); kernels staging more taps than the
-            // plan path supports keep the full-chunk stack evaluators.
-            (LaneProgram::F32(ops), _) => match (&fused.arch_plan, w) {
-                (ArchPlan::F32(plan), 32) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f32_avx2, store_chunk_f32, plan, 32)
-                }
-                (ArchPlan::F32(plan), 16) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f32_avx2, store_chunk_f32, plan, 16)
-                }
-                (ArchPlan::F32(plan), 8) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f32_avx2, store_chunk_f32, plan, 8)
-                }
-                (_, 32) => run!(eval_chunk_f32_avx2, store_chunk_f32, ops, 32),
-                (_, 16) => run!(eval_chunk_f32_avx2, store_chunk_f32, ops, 16),
-                _ => run!(eval_chunk_f32_avx2, store_chunk_f32, ops, 8),
-            },
-            (LaneProgram::F64(ops), _) => match (&fused.arch_plan, w) {
-                (ArchPlan::F64(plan), 16) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f64_avx2, store_chunk_f64, plan, 16)
-                }
-                (ArchPlan::F64(plan), 8) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f64_avx2, store_chunk_f64, plan, 8)
-                }
-                (ArchPlan::F64(plan), 4) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f64_avx2, store_chunk_f64, plan, 4)
-                }
-                (_, 16) => run!(eval_chunk_f64_avx2, store_chunk_f64, ops, 16),
-                (_, 8) => run!(eval_chunk_f64_avx2, store_chunk_f64, ops, 8),
-                _ => run!(eval_chunk_f64_avx2, store_chunk_f64, ops, 4),
-            },
-        }
-    }
-
-    /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
-    pub(super) unsafe fn dispatch_reduce_chunk_avx2(
-        rk: &ReduceKernel,
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> i64 {
-        match &rk.prog {
-            LaneProgram::I32(ops) => {
-                let lanes = eval_chunk_i32_avx2::<MAX_CHUNK>(
-                    ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-                );
-                tree_sum_i32_avx2(lanes, n) as i64
-            }
-            LaneProgram::I64(ops) => {
-                let lanes = eval_chunk_i64_avx2::<{ MAX_CHUNK / 2 }>(
-                    ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-                );
-                tree_sum_i64_avx2(lanes, n)
-            }
-            LaneProgram::F32(_) | LaneProgram::F64(_) => {
-                unreachable!("reduce kernels are integer-only")
-            }
+        match (plan, w) {
+            (ArchPlan::F32(p), 32) => run!(eval_plan_f32_avx2, p, 32),
+            (ArchPlan::F32(p), 16) => run!(eval_plan_f32_avx2, p, 16),
+            (ArchPlan::F32(p), _) => run!(eval_plan_f32_avx2, p, 8),
+            (ArchPlan::F64(p), 16) => run!(eval_plan_f64_avx2, p, 16),
+            (ArchPlan::F64(p), 8) => run!(eval_plan_f64_avx2, p, 8),
+            (ArchPlan::F64(p), _) => run!(eval_plan_f64_avx2, p, 4),
         }
     }
 }
@@ -6849,9 +5553,10 @@ impl ExecPlan {
     /// part of the plan, so cached plans report the same profiles.
     ///
     /// `target` is the resolved [`Target`] the plan will execute under; each
-    /// store with a fused or reduce kernel reports the lane ISA
-    /// ([`StoreProfile::selected_isa`]) that target resolves to on this host,
-    /// so a dry run predicts exactly what the executing path will count.
+    /// store reports the lane ISA ([`StoreProfile::selected_isa`]) its chunks
+    /// will run on under that target on this host — [`Isa::Avx2`] only for
+    /// fused float stores with an arch plan — so a dry run predicts exactly
+    /// what the executing path will count.
     pub fn store_profiles(&self, target: Target) -> Vec<StoreProfile> {
         let isa = target.effective_isa();
         self.prepared
@@ -6871,7 +5576,6 @@ impl ExecPlan {
                     ),
                     None => (0, 0),
                 };
-                let has_lanes = store.fused.is_some() || store.reduce.is_some();
                 StoreProfile {
                     fused: store.fused.as_ref().map(|f| f.family()),
                     taps,
@@ -6879,7 +5583,10 @@ impl ExecPlan {
                     guarded: store.clamp,
                     reduce: store.reduce.as_ref().map(|r| r.family()),
                     parallel_reduce: store.merge.is_some(),
-                    selected_isa: if has_lanes { isa } else { Isa::Portable },
+                    selected_isa: store
+                        .fused
+                        .as_ref()
+                        .map_or(Isa::Portable, |f| f.selected_isa(isa)),
                 }
             })
             .collect()
@@ -7813,8 +6520,9 @@ mod tests {
     }
 
     /// The arch (AVX2) dispatch is bit-identical to the portable lanes and
-    /// observable via the [`arch_rows_executed`] counter; a portable target
-    /// never touches it. Skipped with a notice on hosts without AVX2.
+    /// observable via the [`arch_rows_executed`] counter: float kernels take
+    /// it, integer kernels never do (they have no arch path), and a portable
+    /// target never touches it. Skipped with a notice on hosts without AVX2.
     #[test]
     fn arch_dispatch_agrees_with_portable_and_counts_rows() {
         use crate::target::Feature;
@@ -7823,7 +6531,7 @@ mod tests {
             return;
         }
         // One integer and one float shape, covering fused rows and the
-        // reduce-free fused path under both ISAs.
+        // reduce-free fused path under both targets.
         let int_value = Expr::cast(
             ScalarType::UInt8,
             Expr::bin(
@@ -7841,37 +6549,50 @@ mod tests {
         );
         let arch = Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd);
         let portable = Target::portable().with_tier(Tier::Simd);
-        let params = BTreeMap::new();
+        let run = |plan: &ExecPlan, img: &Buffer, ty: ScalarType, target: Target| {
+            let images: BTreeMap<String, &Buffer> = [("in".to_string(), img)].into_iter().collect();
+            let mut out = Buffer::new(ty, &[37, 9]);
+            run_with_target(
+                plan,
+                &mut out,
+                &images,
+                &BTreeMap::new(),
+                &BTreeMap::new(),
+                target,
+            )
+            .expect("run");
+            out
+        };
+        // Whether a run executes arch rows. The counter is process-wide and
+        // other tests run float kernels on the arch path concurrently, so one
+        // advance may not be ours: a path that never takes the arch tier
+        // shows a clean attempt within a few tries, one that does advances
+        // on every try.
+        let runs_arch_rows = |plan: &ExecPlan, img: &Buffer, ty: ScalarType, target: Target| {
+            (0..16).all(|_| {
+                let before = arch_rows_executed();
+                run(plan, img, ty, target);
+                arch_rows_executed() > before
+            })
+        };
 
         let int_plan = plan_for(nest(37, 9, 16, int_value), ScalarType::UInt8);
         assert_eq!(int_plan.fused_store_count(), 1);
         let img = input(39, 11, 3);
-        let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
-        let mut a = Buffer::new(ScalarType::UInt8, &[37, 9]);
-        let mut p = Buffer::new(ScalarType::UInt8, &[37, 9]);
-        let before = arch_rows_executed();
-        run_with_target(&int_plan, &mut a, &images, &BTreeMap::new(), &params, arch)
-            .expect("arch run");
+        let u8 = ScalarType::UInt8;
         assert!(
-            arch_rows_executed() > before,
-            "AVX2 target must execute arch rows"
+            !runs_arch_rows(&int_plan, &img, u8, arch),
+            "integer kernels must run the portable lanes under an AVX2 target"
         );
-        let before = arch_rows_executed();
-        run_with_target(
-            &int_plan,
-            &mut p,
-            &images,
-            &BTreeMap::new(),
-            &params,
-            portable,
-        )
-        .expect("portable run");
-        assert_eq!(
-            arch_rows_executed(),
-            before,
+        assert!(
+            !runs_arch_rows(&int_plan, &img, u8, portable),
             "portable target must not touch the arch path"
         );
-        assert_eq!(a, p, "i32 arch lanes diverged from portable");
+        assert_eq!(
+            run(&int_plan, &img, u8, arch),
+            run(&int_plan, &img, u8, portable),
+            "i32 lanes diverged between targets"
+        );
 
         let f64_plan = plan_with_input(
             nest(37, 9, 16, f64_value),
@@ -7880,38 +6601,49 @@ mod tests {
         );
         assert_eq!(f64_plan.fused_store_counts().lanes_f64, 1);
         let img = dinput(39, 11, 7);
-        let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
-        let mut a = Buffer::new(ScalarType::Float64, &[37, 9]);
-        let mut p = Buffer::new(ScalarType::Float64, &[37, 9]);
-        run_with_target(&f64_plan, &mut a, &images, &BTreeMap::new(), &params, arch)
-            .expect("arch run");
-        run_with_target(
-            &f64_plan,
-            &mut p,
-            &images,
-            &BTreeMap::new(),
-            &params,
-            portable,
-        )
-        .expect("portable run");
-        assert_eq!(a, p, "f64 arch lanes diverged from portable");
+        let f64 = ScalarType::Float64;
+        assert!(
+            runs_arch_rows(&f64_plan, &img, f64, arch),
+            "float kernels must execute arch rows under an AVX2 target"
+        );
+        assert!(
+            !runs_arch_rows(&f64_plan, &img, f64, portable),
+            "portable target must not touch the arch path"
+        );
+        assert_eq!(
+            run(&f64_plan, &img, f64, arch),
+            run(&f64_plan, &img, f64, portable),
+            "f64 arch lanes diverged from portable"
+        );
     }
 
-    /// [`ExecPlan::store_profiles`] reports the lane ISA the given target
-    /// resolves to on this host — portable targets always report portable,
-    /// and stores without lane kernels report portable regardless.
+    /// [`ExecPlan::store_profiles`] reports the lane ISA each store will
+    /// execute on: portable targets always report portable, integer kernels
+    /// report portable under every target (they have no arch path), and a
+    /// float kernel reports what the target resolves to on this host.
     #[test]
     fn store_profiles_report_selected_isa() {
         use crate::target::Feature;
-        let plan = plan_for(nest(16, 4, 8, tap(0, 0)), ScalarType::UInt8);
-        assert_eq!(plan.fused_store_count(), 1);
-        for p in plan.store_profiles(Target::portable()) {
+        let avx2 = Target::with_features(&[Feature::Avx2]);
+        let int_plan = plan_for(nest(16, 4, 8, tap(0, 0)), ScalarType::UInt8);
+        assert_eq!(int_plan.fused_store_count(), 1);
+        for target in [Target::portable(), avx2] {
+            for p in int_plan.store_profiles(target) {
+                assert_eq!(p.selected_isa, Isa::Portable);
+            }
+        }
+        let f64_plan = plan_with_input(
+            nest(16, 4, 8, Expr::mul(ftap(0, 0), dconst(0.5))),
+            ScalarType::Float64,
+            ScalarType::Float64,
+        );
+        assert_eq!(f64_plan.fused_store_counts().lanes_f64, 1);
+        for p in f64_plan.store_profiles(Target::portable()) {
             assert_eq!(p.selected_isa, Isa::Portable);
         }
-        let avx2 = Target::with_features(&[Feature::Avx2]);
         let expect = avx2.effective_isa(); // Avx2 on AVX2 hosts, else Portable
-        for p in plan.store_profiles(avx2) {
-            assert_eq!(p.selected_isa, expect, "fused store must report the ISA");
+        for p in f64_plan.store_profiles(avx2) {
+            assert_eq!(p.selected_isa, expect, "float store must report the ISA");
         }
     }
 

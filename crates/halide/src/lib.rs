@@ -139,8 +139,6 @@ pub use exec::{
     parallel_reduce_merges_executed, reduce_chunks_executed, CounterSnapshot, FusedStoreCounts,
     LaneFamily, StoreProfile,
 };
-#[allow(deprecated)]
-pub use exec::{set_simd_mode, simd_mode, SimdMode};
 pub use expr::{BinOp, CmpOp, Expr, ExternCall};
 pub use func::{Func, ImageParam, Pipeline, RDom, UpdateDef};
 pub use realize::{ExecBackend, RealizeError, RealizeInputs, Realizer};

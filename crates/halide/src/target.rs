@@ -1,14 +1,13 @@
 //! Unified backend-selection API: which execution *tier* the runner may use
 //! (fused lane kernels vs per-op lanes vs per-element fallback) and which
-//! *ISA features* the fused kernels may exploit (explicit AVX2 `core::arch`
-//! paths vs the portable constant-trip lane loops).
+//! *ISA features* the fused kernels may exploit (the explicit AVX2
+//! `core::arch` plan evaluator for float kernels vs the portable
+//! constant-trip lane loops).
 //!
 //! A [`Target`] is resolved **once at compile time** — [`Pipeline::compile`]
 //! stores the resolved value on the [`CompiledPipeline`] — and every dispatch
 //! site (tier selection, fused builders, reduce kernels, the `arch` module's
-//! AVX2 chunk evaluators) reads that one value. This replaces the previous
-//! tangle of `SimdMode` + `HELIUM_FORCE_SCALAR` / `HELIUM_FORCE_SIMD` env
-//! reads + `CompileOptions::simd`, each consulted in a different place.
+//! AVX2 plan evaluator) reads that one value.
 //!
 //! [`Pipeline::compile`]: crate::func::Pipeline::compile
 //! [`CompiledPipeline`]: crate::compile::CompiledPipeline
@@ -71,7 +70,8 @@ pub enum Isa {
     /// Portable constant-trip lane loops (LLVM auto-vectorized).
     #[default]
     Portable,
-    /// Hand-written AVX2 `core::arch` chunk evaluators.
+    /// The hand-written AVX2 `core::arch` plan evaluator (float kernels with
+    /// an arch plan only).
     Avx2,
 }
 

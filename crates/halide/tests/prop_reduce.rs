@@ -18,7 +18,7 @@
 //!   (the sequential strategy);
 //! * on data-dependent histogram LHS indices, whose destinations clamp
 //!   exactly like `Buffer::set`;
-//! * under both forced execution tiers via [`CompileOptions::simd`] (CI runs
+//! * under both forced execution tiers via [`CompileOptions::target`] (CI runs
 //!   the whole file under `HELIUM_FORCE_SCALAR=1` and `HELIUM_FORCE_SIMD=1`
 //!   as the `reductions` matrix leg).
 

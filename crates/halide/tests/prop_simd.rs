@@ -13,9 +13,13 @@
 //!   `[f32; W]` family, `Float64` outputs the `[f64; W/2]` family);
 //! * across ISAs: the pinned-scalar tier, the portable lane kernels, and —
 //!   on hosts whose detected target carries AVX2 — the hand-written
-//!   `core::arch` evaluators, which must be bit-identical to the portable
-//!   lanes (on non-AVX2 hosts the arch column degrades to portable and the
-//!   dedicated differential test below prints a skip notice);
+//!   `core::arch` plan evaluator that float kernels with at most `A_TAPS`
+//!   (16) taps run, which must be bit-identical to the portable lanes (on
+//!   non-AVX2 hosts the arch column degrades to portable and the dedicated
+//!   differential test below prints a skip notice);
+//! * on a 17-tap f64 stencil, one tap past the arch plan's limit, so the
+//!   detected-target column also covers a float kernel that stays on the
+//!   portable evaluator under AVX2;
 //! * on odd/prime extents, so interior chunks always leave sub-width tails
 //!   (executed as masked or overlapping fused chunks) and border peels;
 //! * on border-clamping stencils (negative and past-the-end tap offsets);
@@ -261,6 +265,23 @@ fn f64_value_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// A 17-tap unrounded f64 stencil: one tap more than the AVX2 plan evaluator
+/// stages, so under an AVX2 target it runs the portable evaluator.
+fn f64_wide_stencil() -> Expr {
+    let offsets = (-2i64..=2).flat_map(|dy| (-2i64..=2).map(move |dx| (dx, dy)));
+    offsets
+        .take(17)
+        .enumerate()
+        .map(|(k, (dx, dy))| {
+            Expr::mul(
+                ftap(dx, dy),
+                Expr::ConstFloat(1.0 / (k + 2) as f64, ScalarType::Float64),
+            )
+        })
+        .reduce(Expr::add)
+        .expect("17 taps")
+}
+
 /// Compare the interpreter oracle with the lowered backend pinned to every
 /// target in the matrix, for the given schedule.
 fn assert_tiers_match_oracle(
@@ -477,6 +498,28 @@ proptest! {
             .with_vector_width(width);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
+
+    /// A float kernel with more taps than the arch plan stages stays exact
+    /// across the whole target matrix, including the detected AVX2 target
+    /// (where it runs the portable evaluator).
+    #[test]
+    fn f64_wide_stencil_matches_interpreter(
+        wi in 0usize..EXTENTS.len(),
+        hi in 0usize..EXTENTS.len(),
+        width in prop::sample::select(vec![1usize, 8, 16, 32]),
+        parallel in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (w, h) = (EXTENTS[wi], EXTENTS[hi]);
+        let out = Func::pure("out", &["x_0", "x_1"], ScalarType::Float64, f64_wide_stencil());
+        let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float64, 2)]);
+        let input = image(ScalarType::Float64, w + 4, h + 4, seed);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let schedule = Schedule::naive()
+            .with_parallel(parallel)
+            .with_vector_width(width);
+        assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
+    }
 }
 
 /// The exact lifted filter idioms (invert's xor, blur's shifted sum,
@@ -673,12 +716,26 @@ fn i64_histogram_idiom_runs_fused_and_agrees() {
     assert_eq!(fused, oracle, "i64 histogram diverged from oracle");
 }
 
+/// Whether `run` executes arch rows. The counter is process-wide and other
+/// tests in this binary run float kernels on the arch path concurrently, so
+/// one advance may not be ours: a run that never takes the arch path shows a
+/// clean attempt within a few tries, one that does advances on every try.
+fn runs_arch_rows(mut run: impl FnMut()) -> bool {
+    (0..16).all(|_| {
+        let before = helium_halide::arch_rows_executed();
+        run();
+        helium_halide::arch_rows_executed() > before
+    })
+}
+
 /// The dedicated arch differential: on AVX2 hosts, pipelines compiled with
-/// an explicit [`Feature::Avx2`] target must execute the hand-written
-/// `core::arch` kernels (run-time counter guard — equality alone would be
-/// vacuous if dispatch silently fell back) and produce bytes identical to
-/// the portable lane kernels, across all four lane families on prime
-/// extents. On hosts without AVX2 the test prints a skip notice and passes.
+/// an explicit [`Feature::Avx2`] target must produce bytes identical to the
+/// portable lane kernels, across all four lane families on prime extents,
+/// and take exactly the path the target promises (run-time counter guard —
+/// equality alone would be vacuous if dispatch silently fell back): float
+/// kernels with at most `A_TAPS` taps run the hand-written `core::arch` plan
+/// evaluator, integer kernels and the 17-tap f64 stencil never do. On hosts
+/// without AVX2 the test prints a skip notice and passes.
 #[test]
 fn arch_kernels_match_portable_lanes_bit_for_bit() {
     if !Target::detect().has(Feature::Avx2) {
@@ -687,7 +744,8 @@ fn arch_kernels_match_portable_lanes_bit_for_bit() {
     }
     let u32c = |e: Expr| Expr::cast(ScalarType::UInt32, e);
     let neg = |e: Expr| u32c(Expr::mul(Expr::int(4294967295), e));
-    let shapes: Vec<(&str, ScalarType, ScalarType, Expr)> = vec![
+    // (name, input type, output type, value, runs the arch plan)
+    let shapes: Vec<(&str, ScalarType, ScalarType, Expr, bool)> = vec![
         (
             "i32-sharpen",
             ScalarType::UInt8,
@@ -709,6 +767,7 @@ fn arch_kernels_match_portable_lanes_bit_for_bit() {
                     Expr::uint(2),
                 )),
             ),
+            false,
         ),
         (
             "i64-binning",
@@ -725,21 +784,28 @@ fn arch_kernels_match_portable_lanes_bit_for_bit() {
                     ),
                 ),
             ),
+            false,
         ),
-        ("f32-smooth", ScalarType::Float32, ScalarType::Float32, {
-            let f32c = |e: Expr| Expr::cast(ScalarType::Float32, e);
-            let wn = Expr::ConstFloat((1.0f32 / 12.0) as f64, ScalarType::Float32);
-            f32c(Expr::add(
-                f32c(Expr::mul(
-                    f32c(Expr::add(
-                        f32c(Expr::add(ftap(-1, 0), ftap(1, 0))),
-                        ftap(0, -1),
+        (
+            "f32-smooth",
+            ScalarType::Float32,
+            ScalarType::Float32,
+            {
+                let f32c = |e: Expr| Expr::cast(ScalarType::Float32, e);
+                let wn = Expr::ConstFloat((1.0f32 / 12.0) as f64, ScalarType::Float32);
+                f32c(Expr::add(
+                    f32c(Expr::mul(
+                        f32c(Expr::add(
+                            f32c(Expr::add(ftap(-1, 0), ftap(1, 0))),
+                            ftap(0, -1),
+                        )),
+                        wn,
                     )),
-                    wn,
-                )),
-                ftap(0, 0),
-            ))
-        }),
+                    ftap(0, 0),
+                ))
+            },
+            true,
+        ),
         (
             "f64-smooth",
             ScalarType::Float64,
@@ -751,9 +817,17 @@ fn arch_kernels_match_portable_lanes_bit_for_bit() {
                 ),
                 Expr::mul(ftap(0, 0), Expr::ConstFloat(0.5, ScalarType::Float64)),
             ),
+            true,
+        ),
+        (
+            "f64-17-tap",
+            ScalarType::Float64,
+            ScalarType::Float64,
+            f64_wide_stencil(),
+            false,
         ),
     ];
-    for (name, in_ty, out_ty, value) in shapes {
+    for (name, in_ty, out_ty, value, runs_arch) in shapes {
         let out = Func::pure("out", &["x_0", "x_1"], out_ty, value);
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 2)]);
         let input = image(in_ty, 41, 23, 0xA5A5);
@@ -772,12 +846,20 @@ fn arch_kernels_match_portable_lanes_bit_for_bit() {
                     .expect("compile");
                 compiled.run(&inputs, &[w, h]).expect("run")
             };
+            let avx2 = Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd);
             let portable = run(Target::portable().with_tier(Tier::Simd));
-            let before = helium_halide::arch_rows_executed();
-            let arch = run(Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd));
+            let fused_before = helium_halide::fused_rows_executed();
+            let arch = run(avx2);
             assert!(
-                helium_halide::arch_rows_executed() > before,
-                "{name} ({w}x{h}): the AVX2 kernels must actually execute"
+                helium_halide::fused_rows_executed() > fused_before,
+                "{name} ({w}x{h}): the fused tier must actually execute"
+            );
+            assert_eq!(
+                runs_arch_rows(|| {
+                    run(avx2);
+                }),
+                runs_arch,
+                "{name} ({w}x{h}): arch rows must advance iff the kernel has an arch plan"
             );
             assert_eq!(
                 arch, portable,

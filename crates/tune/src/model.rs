@@ -63,7 +63,9 @@ pub struct ScheduleFeatures {
     /// fused; at least 2 per nest otherwise).
     pub fused_output_count: usize,
     /// Stores whose lane kernels will execute on a hand-written arch ISA
-    /// path (`selected_isa` = AVX2) rather than the portable lane loops.
+    /// path (`selected_isa` = AVX2) rather than the portable lane loops:
+    /// fused float stores with an arch plan, under a target that resolves to
+    /// AVX2. Integer and reduction stores never count.
     pub arch_stores: usize,
 }
 
@@ -173,9 +175,9 @@ fn fused_lanes(family: LaneFamily, width: usize) -> f64 {
 }
 
 /// Per-chunk cost multiplier of the lane ISA a store will execute on: the
-/// hand-written AVX2 evaluators beat the autovectorized portable loops on
-/// the same chunk shapes (see `BENCH_lowering.json`'s `arch_speedup` floor),
-/// so arch-selected stores score cheaper.
+/// AVX2 float plan evaluator beats the autovectorized portable loops on the
+/// same chunk shapes (see `BENCH_lowering.json`'s `f32_arch_speedup` and
+/// `f64_arch_speedup` floors), so arch-selected stores score cheaper.
 fn isa_factor(isa: Isa) -> f64 {
     match isa {
         Isa::Portable => 1.0,

@@ -3,6 +3,9 @@
 //! path the executor actually takes (run-time arch counters), and the cost
 //! model's `arch_stores` feature column must be derived from exactly those
 //! profiles — across pinned portable, pinned AVX2 and detected targets.
+//! Only float kernels have an arch path: the `[i32; W]` stencil reports
+//! portable under every target, the f64 stencil reports what the target
+//! resolves to on this host.
 
 use helium_halide::prelude::*;
 use helium_halide::{arch_rows_executed, CompileOptions, StoreProfile};
@@ -33,8 +36,31 @@ fn stencil_pipeline() -> Pipeline {
     Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)])
 }
 
-fn input(w: usize, h: usize) -> Buffer {
-    let mut b = Buffer::new(ScalarType::UInt8, &[w, h]);
+/// A bordered stencil pipeline that fuses on `[f64; W/2]` lanes with an
+/// arch plan (a handful of taps).
+fn f64_stencil_pipeline() -> Pipeline {
+    let tap = |dx: i64, dy: i64| {
+        Expr::Image(
+            "in".into(),
+            vec![
+                Expr::add(Expr::var("x_0"), Expr::int(dx)),
+                Expr::add(Expr::var("x_1"), Expr::int(dy)),
+            ],
+        )
+    };
+    let value = Expr::add(
+        Expr::mul(
+            Expr::add(tap(1, 0), tap(0, 1)),
+            Expr::ConstFloat(0.25, ScalarType::Float64),
+        ),
+        Expr::mul(tap(0, 0), Expr::ConstFloat(0.5, ScalarType::Float64)),
+    );
+    let out = Func::pure("out", &["x_0", "x_1"], ScalarType::Float64, value);
+    Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float64, 2)])
+}
+
+fn input(ty: ScalarType, w: usize, h: usize) -> Buffer {
+    let mut b = Buffer::new(ty, &[w, h]);
     let mut s = 0x5EED_u64;
     for c in b.coords().collect::<Vec<_>>() {
         s = s
@@ -43,6 +69,37 @@ fn input(w: usize, h: usize) -> Buffer {
         b.set(&c, Value::Int(((s >> 33) % 256) as i64));
     }
     b
+}
+
+/// Both pipelines with their input element type, and whether their fused
+/// store has an arch path.
+fn pipelines() -> [(Pipeline, ScalarType, bool); 2] {
+    [
+        (stencil_pipeline(), ScalarType::UInt8, false),
+        (f64_stencil_pipeline(), ScalarType::Float64, true),
+    ]
+}
+
+/// The ISA a store with lane kernels reports under `target`.
+fn expected_isa(target: Target, has_arch_path: bool) -> Isa {
+    if has_arch_path {
+        target.effective_isa()
+    } else {
+        Isa::Portable
+    }
+}
+
+/// Whether `run` executes arch rows. The counter is process-wide and other
+/// tests in this binary run the float stencil on the arch path concurrently,
+/// so one advance may not be ours: a run that never takes the arch path
+/// shows a clean attempt within a few tries, one that does advances on every
+/// try.
+fn runs_arch_rows(mut run: impl FnMut()) -> bool {
+    (0..16).all(|_| {
+        let before = arch_rows_executed();
+        run();
+        arch_rows_executed() > before
+    })
 }
 
 fn fused_stores(profile: &helium_halide::PipelineProfile) -> Vec<&StoreProfile> {
@@ -54,22 +111,24 @@ fn fused_stores(profile: &helium_halide::PipelineProfile) -> Vec<&StoreProfile> 
         .collect()
 }
 
-/// The satellite's acceptance assertion: whatever ISA `dry_run` reports per
-/// store is the ISA the run actually executes — `selected_isa == Avx2` iff
-/// the arch row counter advances, `Portable` iff it does not.
+/// Whatever ISA `dry_run` reports per store is the ISA the run actually
+/// executes — `selected_isa == Avx2` iff the arch row counter advances,
+/// `Portable` iff it does not.
 #[test]
 fn dry_run_selected_isa_matches_executed_path() {
-    let p = stencil_pipeline();
     let (w, h) = (37, 19);
-    let img = input(w + 2, h + 2);
-    let inputs = RealizeInputs::new().with_image("in", &img);
     let schedule = Schedule::stencil_default();
     let targets = [
         Target::portable().with_tier(Tier::Simd),
         Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd),
         Target::detect().with_tier(Tier::Simd),
     ];
-    for target in targets {
+    for ((p, in_ty, has_arch_path), target) in pipelines()
+        .into_iter()
+        .flat_map(|case| targets.map(|t| (case.clone(), t)))
+    {
+        let img = input(in_ty, w + 2, h + 2);
+        let inputs = RealizeInputs::new().with_image("in", &img);
         let compiled = p
             .compile(
                 &schedule,
@@ -86,13 +145,13 @@ fn dry_run_selected_isa_matches_executed_path() {
         // The profile's prediction must equal the target's resolution...
         assert_eq!(
             predicts_arch,
-            target.effective_isa() == Isa::Avx2,
+            expected_isa(target, has_arch_path) == Isa::Avx2,
             "selected_isa disagrees with the resolved target {target:?}"
         );
         // ...and the resolution must equal what the run does.
-        let before = arch_rows_executed();
-        let _ = compiled.run(&inputs, &[w, h]).expect("run");
-        let advanced = arch_rows_executed() > before;
+        let advanced = runs_arch_rows(|| {
+            compiled.run(&inputs, &[w, h]).expect("run");
+        });
         assert_eq!(
             advanced, predicts_arch,
             "selected_isa promised {predicts_arch} but arch counter advance was {advanced} \
@@ -106,9 +165,14 @@ fn dry_run_selected_isa_matches_executed_path() {
 /// schedule's score.
 #[test]
 fn model_arch_stores_column_tracks_selected_isa() {
-    let p = stencil_pipeline();
+    for (p, in_ty, _) in pipelines() {
+        model_arch_stores_case(&p, in_ty);
+    }
+}
+
+fn model_arch_stores_case(p: &Pipeline, in_ty: ScalarType) {
     let (w, h) = (37, 19);
-    let img = input(w + 2, h + 2);
+    let img = input(in_ty, w + 2, h + 2);
     let inputs = RealizeInputs::new().with_image("in", &img);
     let schedule = Schedule::stencil_default();
     let mut scores = Vec::new();
@@ -140,8 +204,8 @@ fn model_arch_stores_column_tracks_selected_isa() {
         assert_eq!(col.1 as usize, expect);
         scores.push((expect, score(&schedule, &profile)));
     }
-    // On AVX2 hosts the second compile selects the arch ISA and must score
-    // at or below portable; elsewhere both columns are portable and equal.
+    // Where the second compile selects the arch ISA (float stores on AVX2
+    // hosts) it must score below portable; elsewhere both are equal.
     let (portable, arch) = (scores[0], scores[1]);
     assert_eq!(portable.0, 0);
     if arch.0 > 0 {
@@ -167,20 +231,19 @@ proptest! {
         parallel in any::<bool>(),
         tiled in any::<bool>(),
     ) {
-        let p = stencil_pipeline();
         let (w, h) = (23, 13);
-        let img = input(w + 2, h + 2);
-        let inputs = RealizeInputs::new().with_image("in", &img);
         let mut schedule = Schedule::naive()
             .with_parallel(parallel)
             .with_vector_width(width);
         if tiled {
             schedule = schedule.with_tile(Some((8, 8)));
         }
-        for target in [
-            Target::portable(),
-            Target::with_features(&[Feature::Avx2]),
-        ] {
+        for ((p, in_ty, has_arch_path), target) in pipelines().into_iter().flat_map(|case| {
+            [Target::portable(), Target::with_features(&[Feature::Avx2])]
+                .map(|t| (case.clone(), t))
+        }) {
+            let img = input(in_ty, w + 2, h + 2);
+            let inputs = RealizeInputs::new().with_image("in", &img);
             let compiled = p
                 .compile(
                     &schedule,
@@ -193,9 +256,8 @@ proptest! {
             let profile = compiled.dry_run(&inputs, &[w, h]).expect("dry run");
             for stage in &profile.stages {
                 for store in &stage.stores {
-                    let has_lanes = store.fused.is_some() || store.reduce.is_some();
-                    let expect = if has_lanes {
-                        target.effective_isa()
+                    let expect = if store.fused.is_some() {
+                        expected_isa(target, has_arch_path)
                     } else {
                         Isa::Portable
                     };

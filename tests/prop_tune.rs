@@ -27,24 +27,36 @@ use helium_tune::{
 };
 use std::time::{Duration, Instant};
 
-/// Steady-state best-of-`reps` measurement of one ranked candidate, after
-/// one untimed warm-up run (which also primes the shared program cache).
-fn measure(
+/// Steady-state best-of-`reps` measurement of every ranked candidate, after
+/// one untimed warm-up run each (which also primes the shared program
+/// cache). The candidates are timed round-robin, one run each per round, so
+/// a burst of host noise lands on every rank alike instead of on whichever
+/// candidates happened to be timed during it (timing them one after another
+/// put the whole top quartile in one window of time).
+fn measure_all(
     pipeline: &Pipeline,
-    trial: &Trial,
+    ranked: &[Trial],
     extents: &[usize],
     inputs: &RealizeInputs<'_>,
     reps: usize,
-) -> Duration {
-    let compiled = pipeline
-        .compile(&trial.schedule, &CompileOptions::default())
-        .expect("compile ranked candidate");
-    let _ = compiled.run(inputs, extents).expect("warm-up");
-    let mut best = Duration::MAX;
+) -> Vec<Duration> {
+    let compiled: Vec<CompiledPipeline> = ranked
+        .iter()
+        .map(|trial| {
+            let compiled = pipeline
+                .compile(&trial.schedule, &CompileOptions::default())
+                .expect("compile ranked candidate");
+            let _ = compiled.run(inputs, extents).expect("warm-up");
+            compiled
+        })
+        .collect();
+    let mut best = vec![Duration::MAX; compiled.len()];
     for _ in 0..reps {
-        let start = Instant::now();
-        let _ = compiled.run(inputs, extents).expect("timed run");
-        best = best.min(start.elapsed());
+        for (compiled, best) in compiled.iter().zip(&mut best) {
+            let start = Instant::now();
+            let _ = compiled.run(inputs, extents).expect("timed run");
+            *best = (*best).min(start.elapsed());
+        }
     }
     best
 }
@@ -68,10 +80,7 @@ fn assert_top_quartile_contains_near_best(filter: PhotoFilter, tol: f64) {
         ranked.len()
     );
 
-    let times: Vec<Duration> = ranked
-        .iter()
-        .map(|t| measure(pipeline, t, &setup.extents, &inputs, 3))
-        .collect();
+    let times = measure_all(pipeline, &ranked, &setup.extents, &inputs, 5);
     let best = *times.iter().min().expect("non-empty");
     let quartile = ranked.len().div_ceil(4);
     let best_in_quartile = *times[..quartile].iter().min().expect("non-empty quartile");
