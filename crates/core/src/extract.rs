@@ -1,22 +1,42 @@
 //! Expression extraction: trace preprocessing, forward analysis for
 //! input-dependent conditionals, and backward analysis that builds concrete
 //! data-dependency trees (paper §4.5–§4.7).
+//!
+//! Both trace analyses keep per-byte state over the unified address space of
+//! paper §4.5: memory below [`REG_SPACE`], then the general-purpose
+//! registers, then the x87 stack slots. That state lives in a [`Shadow`]
+//! table: the registers and FP slots in fixed arrays, memory in 4 KiB pages
+//! found through a flat page directory. Reading or writing a [`Loc`] costs
+//! one directory lookup per page it touches (at most two, since a location
+//! is at most eight bytes wide) and a pass over its bytes, with no per-byte
+//! map probe.
+//!
+//! Lowering allocates nothing per instruction: a step keeps its definitions
+//! and each memory argument its address registers inline, sized to the ISA's
+//! maximum arity (two each), and the arguments of every step go into one
+//! table per trace. [`prepare_trace`] records on every location an
+//! instruction reads (definition arguments, address registers and flag
+//! operands) the [`Reaching`] definition of that location, so the backward
+//! analysis follows each def-use link in O(1).
 
 use crate::layout::{BufferLayout, BufferRole};
 use crate::trees::{GuardedTree, Leaf, Predicate, PredicateCmp, Tree, TreeNode, TreeOp};
 use helium_dbi::InstructionTrace;
 use helium_machine::cpu::StepRecord;
-use helium_machine::isa::{AluOp, Cond, FpSrc, Instr, Operand, RegRef, ShiftOp};
+use helium_machine::isa::{AluOp, Cond, FpSrc, Instr, Operand, Reg, RegRef, ShiftOp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::{Deref, DerefMut};
 
 /// Shadow address space base for general-purpose registers (paper §4.5 maps
 /// registers into memory so the analysis treats them uniformly).
-const REG_SPACE: u64 = 0x1_0000_0000;
+pub const REG_SPACE: u64 = 0x1_0000_0000;
 /// Shadow address space base for x87 physical stack slots.
-const FP_SPACE: u64 = 0x1_0100_0000;
+pub const FP_SPACE: u64 = 0x1_0100_0000;
+/// Bytes of each shadow register space: eight 8-byte slots.
+const SLOT_BYTES: usize = 64;
 
 /// A byte range in the unified (memory + shadow register) address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Loc {
     /// Start address.
     pub addr: u64,
@@ -25,21 +45,24 @@ pub struct Loc {
 }
 
 impl Loc {
-    fn mem(addr: u32, width: u32) -> Loc {
+    /// A memory location.
+    pub fn mem(addr: u32, width: u32) -> Loc {
         Loc {
             addr: addr as u64,
             width,
         }
     }
 
-    fn reg(r: RegRef) -> Loc {
+    /// The shadow location of a register view.
+    pub fn reg(r: RegRef) -> Loc {
         Loc {
             addr: REG_SPACE + (r.reg.index() as u64) * 8 + r.lo as u64,
             width: r.width.bytes(),
         }
     }
 
-    fn fp(phys_slot: u8) -> Loc {
+    /// The shadow location of an x87 physical stack slot.
+    pub fn fp(phys_slot: u8) -> Loc {
         Loc {
             addr: FP_SPACE + phys_slot as u64 * 8,
             width: 8,
@@ -51,17 +74,241 @@ impl Loc {
         self.addr < REG_SPACE
     }
 
-    fn bytes(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.width as u64).map(move |i| self.addr + i)
-    }
-
     fn overlaps(&self, other: &Loc) -> bool {
         self.addr < other.addr + other.width as u64 && other.addr < self.addr + self.width as u64
     }
 }
 
+// ---------------------------------------------------------------------------
+// Shadow state
+// ---------------------------------------------------------------------------
+
+/// Address bits covered by one shadow memory page.
+const PAGE_BITS: u32 = 12;
+const PAGE: usize = 1 << PAGE_BITS;
+/// Directory entries: one per page of the 32-bit memory space. A location
+/// running past its top continues into the register space, as byte
+/// addresses do.
+const DIRECTORY_LEN: usize = 1 << (32 - PAGE_BITS);
+
+/// A value of type `T` for every byte of the unified address space, all
+/// starting at `T::default()`, which must be the least value of `T`.
+#[derive(Debug, Clone)]
+pub struct Shadow<T> {
+    regs: [T; SLOT_BYTES],
+    fp: [T; SLOT_BYTES],
+    /// Memory page number -> 1 + its index in `pages` (0: never written).
+    directory: Vec<u32>,
+    /// The written memory pages, `PAGE` values each.
+    pages: Vec<T>,
+}
+
+impl<T: Copy + Default + Ord> Default for Shadow<T> {
+    fn default() -> Self {
+        Shadow::new()
+    }
+}
+
+impl<T: Copy + Default + Ord> Shadow<T> {
+    /// A table with every byte at `T::default()`.
+    pub fn new() -> Shadow<T> {
+        Shadow {
+            regs: [T::default(); SLOT_BYTES],
+            fp: [T::default(); SLOT_BYTES],
+            directory: vec![0; DIRECTORY_LEN],
+            pages: Vec::new(),
+        }
+    }
+
+    /// The value of the byte at `addr`.
+    pub fn get(&self, addr: u64) -> T {
+        self.max(Loc { addr, width: 1 })
+    }
+
+    /// The largest value over the bytes of `loc` (`T::default()` when
+    /// `loc` is empty).
+    pub fn max(&self, loc: Loc) -> T {
+        let mut out = T::default();
+        for (addr, len) in pieces(loc) {
+            if let Some(bytes) = self.slice(addr, len) {
+                for &v in bytes {
+                    out = out.max(v);
+                }
+            }
+        }
+        out
+    }
+
+    /// Set every byte of `loc` to `value`.
+    pub fn set(&mut self, loc: Loc, value: T) {
+        for (addr, len) in pieces(loc) {
+            self.slice_mut(addr, len).fill(value);
+        }
+    }
+
+    /// The values of `len` bytes from `addr` within one page or register
+    /// space, or `None` for a memory page never written.
+    fn slice(&self, addr: u64, len: usize) -> Option<&[T]> {
+        let (table, offset) = if addr >= FP_SPACE {
+            (&self.fp[..], (addr - FP_SPACE) as usize)
+        } else if addr >= REG_SPACE {
+            (&self.regs[..], (addr - REG_SPACE) as usize)
+        } else {
+            let page = self.directory[(addr >> PAGE_BITS) as usize] as usize;
+            if page == 0 {
+                return None;
+            }
+            (
+                &self.pages[..],
+                (page - 1) * PAGE + (addr as usize & (PAGE - 1)),
+            )
+        };
+        debug_assert!(offset + len <= table.len(), "{len} bytes at {addr:#x}");
+        Some(&table[offset..offset + len])
+    }
+
+    fn slice_mut(&mut self, addr: u64, len: usize) -> &mut [T] {
+        let (table, offset) = if addr >= FP_SPACE {
+            (&mut self.fp[..], (addr - FP_SPACE) as usize)
+        } else if addr >= REG_SPACE {
+            (&mut self.regs[..], (addr - REG_SPACE) as usize)
+        } else {
+            let entry = &mut self.directory[(addr >> PAGE_BITS) as usize];
+            if *entry == 0 {
+                self.pages.resize(self.pages.len() + PAGE, T::default());
+                *entry = (self.pages.len() / PAGE) as u32;
+            }
+            let page = *entry as usize;
+            (
+                &mut self.pages[..],
+                (page - 1) * PAGE + (addr as usize & (PAGE - 1)),
+            )
+        };
+        debug_assert!(offset + len <= table.len(), "{len} bytes at {addr:#x}");
+        &mut table[offset..offset + len]
+    }
+}
+
+/// Split `loc` into `(addr, len)` pieces that each lie within one memory
+/// page or one register space (the second piece is empty unless `loc`
+/// crosses a page boundary).
+fn pieces(loc: Loc) -> [(u64, usize); 2] {
+    let end = loc.addr + loc.width as u64;
+    let page_end = (loc.addr | (PAGE as u64 - 1)) + 1;
+    if loc.addr >= REG_SPACE || end <= page_end {
+        [(loc.addr, loc.width as usize), (end, 0)]
+    } else {
+        [
+            (loc.addr, (page_end - loc.addr) as usize),
+            (page_end, (end - page_end) as usize),
+        ]
+    }
+}
+
+/// The reaching definition of a read: the latest dynamic step that wrote
+/// any byte of the location before the reading step, if any. Ordered so
+/// that "none" is least and later steps are greater.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Reaching(u32);
+
+impl Reaching {
+    fn at(step: usize) -> Reaching {
+        Reaching(u32::try_from(step + 1).expect("trace length fits in u32"))
+    }
+
+    /// The dynamic index of the defining step.
+    pub fn step(self) -> Option<usize> {
+        self.0.checked_sub(1).map(|s| s as usize)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lowered instructions
+// ---------------------------------------------------------------------------
+
+/// Inline storage for at most `N` items.
+#[derive(Clone, Copy)]
+pub struct Inline<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + Default, const N: usize> Default for Inline<T, N> {
+    fn default() -> Self {
+        Inline {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Inline<T, N> {
+    fn push(&mut self, item: T) {
+        assert!((self.len as usize) < N, "more than {N} items");
+        self.items[self.len as usize] = item;
+        self.len += 1;
+    }
+}
+
+impl<T, const N: usize> Deref for Inline<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<T, const N: usize> DerefMut for Inline<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len as usize]
+    }
+}
+
+impl<T: std::fmt::Debug, const N: usize> std::fmt::Debug for Inline<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for Inline<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// Most definitions one instruction performs (`fxch` writes two slots).
+const MAX_DEFS: usize = 2;
+/// Most arguments of one definition (`lea`: base, index, displacement).
+const MAX_ARGS: usize = 3;
+/// Most registers in one address expression (base and index).
+const MAX_ADDR_REGS: usize = 2;
+
+/// A register that contributed to the address of a memory access.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AddrReg {
+    /// The register (its full 32-bit view).
+    pub reg: Reg,
+    /// The definition of the register that reaches the access.
+    pub def: Reaching,
+}
+
+impl Default for AddrReg {
+    fn default() -> Self {
+        AddrReg {
+            reg: Reg::Eax,
+            def: Reaching::default(),
+        }
+    }
+}
+
+impl AddrReg {
+    /// The register's shadow location.
+    pub fn loc(&self) -> Loc {
+        Loc::reg(RegRef::full(self.reg))
+    }
+}
+
 /// An argument of a lowered micro-operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MicroArg {
     /// An immediate integer.
     Imm(i64),
@@ -71,12 +318,12 @@ pub enum MicroArg {
         loc: Loc,
         /// Raw bits observed in the trace (memory reads only; 0 otherwise).
         value: u64,
-        /// Registers (as shadow locations) that contributed to the address,
-        /// with their scale factors, when the location is an indirect memory
-        /// access (`base + scale*index`). Empty for direct accesses.
-        addr_regs: Vec<(Loc, u32)>,
-        /// Constant displacement of the address expression.
-        addr_disp: i64,
+        /// Registers that formed the address when the location is a memory
+        /// access through registers (`base + scale*index`). Empty for
+        /// direct accesses.
+        addr_regs: Inline<AddrReg, MAX_ADDR_REGS>,
+        /// The definition of `loc` that reaches this read.
+        def: Reaching,
     },
 }
 
@@ -85,30 +332,66 @@ impl MicroArg {
         MicroArg::Loc {
             loc,
             value: 0,
-            addr_regs: Vec::new(),
-            addr_disp: 0,
+            addr_regs: Inline::default(),
+            def: Reaching::default(),
+        }
+    }
+
+    fn mem(acc: &helium_machine::MemAccess) -> MicroArg {
+        MicroArg::Loc {
+            loc: Loc::mem(acc.addr, acc.width.bytes()),
+            value: acc.value,
+            addr_regs: Inline::default(),
+            def: Reaching::default(),
         }
     }
 }
 
+/// A run of consecutive arguments in a lowered trace's argument table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Args {
+    start: u32,
+    len: u8,
+}
+
+impl Args {
+    /// The arguments in `table`.
+    pub fn of(self, table: &[MicroArg]) -> &[MicroArg] {
+        &table[self.start as usize..self.start as usize + self.len as usize]
+    }
+}
+
+/// Append `args` to `table` and return their span.
+fn push_args(table: &mut Vec<MicroArg>, args: impl IntoIterator<Item = MicroArg>) -> Args {
+    let start = table.len();
+    table.extend(args);
+    let len = table.len() - start;
+    debug_assert!(len <= MAX_ARGS, "{len} arguments");
+    Args {
+        start: u32::try_from(start).expect("argument table fits in u32"),
+        len: len as u8,
+    }
+}
+
 /// One lowered definition event (a value written to a location).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefEvent {
     /// Destination location.
     pub dst: Loc,
     /// Operation producing the value.
     pub op: TreeOp,
     /// Arguments.
-    pub args: Vec<MicroArg>,
+    pub args: Args,
 }
 
-/// Flag-setting event used to build predicate trees.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlagEvent {
-    /// Left operand.
-    pub a: MicroArg,
-    /// Right operand.
-    pub b: MicroArg,
+impl Default for DefEvent {
+    fn default() -> Self {
+        DefEvent {
+            dst: Loc::default(),
+            op: TreeOp::Move,
+            args: Args::default(),
+        }
+    }
 }
 
 /// A preprocessed dynamic instruction.
@@ -117,9 +400,10 @@ pub struct MicroStep {
     /// Static instruction address.
     pub addr: u32,
     /// Value definitions performed by the instruction.
-    pub defs: Vec<DefEvent>,
-    /// Flag definition, if the instruction sets flags from two operands.
-    pub flags: Option<FlagEvent>,
+    pub defs: Inline<DefEvent, MAX_DEFS>,
+    /// The two operands the flags were set from, if the instruction sets
+    /// flags from two operands.
+    pub flags: Option<Args>,
     /// For conditional jumps: the condition and whether it was taken.
     pub branch: Option<(Cond, bool)>,
 }
@@ -160,24 +444,23 @@ fn operand_loc(op: &Operand, rec: &StepRecord, want_write: bool) -> MicroArg {
                 .find(|m| m.is_write == want_write)
                 .or_else(|| rec.mem.first())
                 .expect("memory operand must have a recorded access");
-            let mut addr_regs = Vec::new();
-            if let Some(b) = acc.expr.base {
-                addr_regs.push((Loc::reg(RegRef::full(b)), 1));
-            }
-            if let Some(i) = acc.expr.index {
-                // A scale of zero contributes nothing to the address (an
-                // encoding artifact of `[reg + reg*0 + disp]` forms); keeping
-                // it would double-count the register in indirect-access index
-                // expressions (e.g. lookup tables indexed by a pixel value).
-                if acc.expr.scale != 0 {
-                    addr_regs.push((Loc::reg(RegRef::full(i)), acc.expr.scale as u32));
-                }
+            // A scale of zero contributes nothing to the address (an encoding
+            // artifact of `[reg + reg*0 + disp]` forms); keeping it would
+            // double-count the register in indirect-access index expressions
+            // (e.g. lookup tables indexed by a pixel value).
+            let index = acc.expr.index.filter(|_| acc.expr.scale != 0);
+            let mut addr_regs = Inline::default();
+            for reg in acc.expr.base.into_iter().chain(index) {
+                addr_regs.push(AddrReg {
+                    reg,
+                    def: Reaching::default(),
+                });
             }
             MicroArg::Loc {
                 loc: Loc::mem(acc.addr, acc.width.bytes()),
                 value: acc.value,
                 addr_regs,
-                addr_disp: acc.expr.disp as i64,
+                def: Reaching::default(),
             }
         }
     }
@@ -186,19 +469,12 @@ fn operand_loc(op: &Operand, rec: &StepRecord, want_write: bool) -> MicroArg {
 fn fp_arg(src: &FpSrc, rec: &StepRecord, top: u8) -> MicroArg {
     match src {
         FpSrc::St(i) => MicroArg::simple(Loc::fp((top + i) % 8)),
-        FpSrc::MemF32(_) | FpSrc::MemF64(_) | FpSrc::MemI32(_) => {
-            let acc = rec
-                .mem
+        FpSrc::MemF32(_) | FpSrc::MemF64(_) | FpSrc::MemI32(_) => MicroArg::mem(
+            rec.mem
                 .iter()
                 .find(|m| !m.is_write)
-                .expect("fp memory read recorded");
-            MicroArg::Loc {
-                loc: Loc::mem(acc.addr, acc.width.bytes()),
-                value: acc.value,
-                addr_regs: Vec::new(),
-                addr_disp: acc.expr.disp as i64,
-            }
-        }
+                .expect("fp memory read recorded"),
+        ),
     }
 }
 
@@ -213,190 +489,132 @@ fn alu_tree_op(op: AluOp) -> TreeOp {
     }
 }
 
-/// Lower one dynamic instruction into definition/flag events.
-pub fn lower_step(rec: &StepRecord) -> Result<MicroStep, ExtractError> {
+/// A step being lowered, with the argument table its events point into.
+struct Lowering<'t> {
+    step: MicroStep,
+    args: &'t mut Vec<MicroArg>,
+}
+
+impl Lowering<'_> {
+    fn def(&mut self, dst: Loc, op: TreeOp, args: impl IntoIterator<Item = MicroArg>) {
+        let args = push_args(self.args, args);
+        self.step.defs.push(DefEvent { dst, op, args });
+    }
+
+    fn flags(&mut self, a: MicroArg, b: MicroArg) -> Args {
+        let args = push_args(self.args, [a, b]);
+        self.step.flags = Some(args);
+        args
+    }
+}
+
+/// Lower one dynamic instruction into definition/flag events, appending
+/// their arguments to `args`.
+pub fn lower_step(rec: &StepRecord, args: &mut Vec<MicroArg>) -> Result<MicroStep, ExtractError> {
     let top = rec.fpu_top_before;
-    let mut step = MicroStep {
-        addr: rec.addr,
-        ..MicroStep::default()
+    let mut l = Lowering {
+        step: MicroStep {
+            addr: rec.addr,
+            ..MicroStep::default()
+        },
+        args,
     };
+    let write = rec.mem.iter().find(|m| m.is_write);
     match &rec.instr {
         Instr::Mov { dst, src } => {
             let s = operand_loc(src, rec, false);
-            let d = operand_loc(dst, rec, true);
-            if let MicroArg::Loc { loc, .. } = d {
-                step.defs.push(DefEvent {
-                    dst: loc,
-                    op: TreeOp::Move,
-                    args: vec![s],
-                });
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.def(loc, TreeOp::Move, [s]);
             }
         }
         Instr::Movzx { dst, src } => {
-            let s = operand_loc(src, rec, false);
-            step.defs.push(DefEvent {
-                dst: Loc::reg(*dst),
-                op: TreeOp::Move,
-                args: vec![s],
-            });
+            l.def(Loc::reg(*dst), TreeOp::Move, [operand_loc(src, rec, false)]);
         }
         Instr::Movsx { dst, src } => {
-            let s = operand_loc(src, rec, false);
-            step.defs.push(DefEvent {
-                dst: Loc::reg(*dst),
-                op: TreeOp::SignExtend,
-                args: vec![s],
-            });
+            l.def(
+                Loc::reg(*dst),
+                TreeOp::SignExtend,
+                [operand_loc(src, rec, false)],
+            );
         }
-        Instr::Lea { dst, .. } => {
-            // lea computes an address: model it as an addition of its register
-            // parts and displacement.
-            let mut args = Vec::new();
-            if let Some(acc) = rec.mem.first() {
-                // lea performs no access; nothing recorded. Fall through.
-                let _ = acc;
-            }
-            // Reconstruct from the instruction itself (registers only).
-            if let Instr::Lea { addr, .. } = &rec.instr {
-                if let Some(b) = addr.base {
-                    args.push(MicroArg::simple(Loc::reg(RegRef::full(b))));
-                }
-                if let Some(i) = addr.index {
-                    args.push(MicroArg::simple(Loc::reg(RegRef::full(i))));
-                }
-                args.push(MicroArg::Imm(addr.disp as i64));
-            }
-            step.defs.push(DefEvent {
-                dst: Loc::reg(*dst),
-                op: TreeOp::Add,
-                args,
-            });
+        Instr::Lea { dst, addr } => {
+            // lea computes an address without accessing memory: model it as
+            // an addition of its register parts and displacement.
+            let regs = addr.base.into_iter().chain(addr.index);
+            let args = regs
+                .map(|r| MicroArg::simple(Loc::reg(RegRef::full(r))))
+                .chain([MicroArg::Imm(addr.disp as i64)]);
+            l.def(Loc::reg(*dst), TreeOp::Add, args);
         }
         Instr::Alu { op, dst, src } => {
-            let d_read = operand_loc(dst, rec, false);
-            let s = operand_loc(src, rec, false);
-            let d_write = operand_loc(dst, rec, true);
-            step.flags = Some(FlagEvent {
-                a: d_read.clone(),
-                b: s.clone(),
-            });
-            if let MicroArg::Loc { loc, .. } = d_write {
-                step.defs.push(DefEvent {
+            // The flags compare the same two operands the result combines.
+            let args = l.flags(operand_loc(dst, rec, false), operand_loc(src, rec, false));
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.step.defs.push(DefEvent {
                     dst: loc,
                     op: alu_tree_op(*op),
-                    args: vec![d_read, s],
+                    args,
                 });
             }
         }
         Instr::Shift { op, dst, amount } => {
             let d_read = operand_loc(dst, rec, false);
             let amt = operand_loc(amount, rec, false);
-            let d_write = operand_loc(dst, rec, true);
             let tree_op = match op {
                 ShiftOp::Shl => TreeOp::Shl,
                 ShiftOp::Shr => TreeOp::Shr,
                 ShiftOp::Sar => TreeOp::Sar,
             };
-            if let MicroArg::Loc { loc, .. } = d_write {
-                step.defs.push(DefEvent {
-                    dst: loc,
-                    op: tree_op,
-                    args: vec![d_read, amt],
-                });
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.def(loc, tree_op, [d_read, amt]);
             }
         }
         Instr::Inc { dst } => {
             let d_read = operand_loc(dst, rec, false);
-            let d_write = operand_loc(dst, rec, true);
-            step.flags = Some(FlagEvent {
-                a: d_read.clone(),
-                b: MicroArg::Imm(-1),
-            });
-            if let MicroArg::Loc { loc, .. } = d_write {
-                step.defs.push(DefEvent {
-                    dst: loc,
-                    op: TreeOp::Add,
-                    args: vec![d_read, MicroArg::Imm(1)],
-                });
+            l.flags(d_read, MicroArg::Imm(-1));
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.def(loc, TreeOp::Add, [d_read, MicroArg::Imm(1)]);
             }
         }
         Instr::Dec { dst } => {
             let d_read = operand_loc(dst, rec, false);
-            let d_write = operand_loc(dst, rec, true);
-            step.flags = Some(FlagEvent {
-                a: d_read.clone(),
-                b: MicroArg::Imm(1),
-            });
-            if let MicroArg::Loc { loc, .. } = d_write {
-                step.defs.push(DefEvent {
-                    dst: loc,
-                    op: TreeOp::Sub,
-                    args: vec![d_read, MicroArg::Imm(1)],
-                });
+            l.flags(d_read, MicroArg::Imm(1));
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.def(loc, TreeOp::Sub, [d_read, MicroArg::Imm(1)]);
             }
         }
         Instr::Neg { dst } => {
             let d_read = operand_loc(dst, rec, false);
-            let d_write = operand_loc(dst, rec, true);
-            if let MicroArg::Loc { loc, .. } = d_write {
-                step.defs.push(DefEvent {
-                    dst: loc,
-                    op: TreeOp::Neg,
-                    args: vec![d_read],
-                });
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.def(loc, TreeOp::Neg, [d_read]);
             }
         }
         Instr::Not { dst } => {
             let d_read = operand_loc(dst, rec, false);
-            let d_write = operand_loc(dst, rec, true);
-            if let MicroArg::Loc { loc, .. } = d_write {
-                step.defs.push(DefEvent {
-                    dst: loc,
-                    op: TreeOp::Not,
-                    args: vec![d_read],
-                });
+            if let MicroArg::Loc { loc, .. } = operand_loc(dst, rec, true) {
+                l.def(loc, TreeOp::Not, [d_read]);
             }
         }
         Instr::Cmp { a, b } | Instr::Test { a, b } => {
-            step.flags = Some(FlagEvent {
-                a: operand_loc(a, rec, false),
-                b: operand_loc(b, rec, false),
-            });
+            l.flags(operand_loc(a, rec, false), operand_loc(b, rec, false));
         }
         Instr::Jcc { cond, .. } => {
-            step.branch = Some((*cond, rec.branch_taken.unwrap_or(false)));
+            l.step.branch = Some((*cond, rec.branch_taken.unwrap_or(false)));
         }
         Instr::Push { src } => {
             let s = operand_loc(src, rec, false);
-            if let Some(w) = rec.mem.iter().find(|m| m.is_write) {
-                step.defs.push(DefEvent {
-                    dst: Loc::mem(w.addr, w.width.bytes()),
-                    op: TreeOp::Move,
-                    args: vec![s],
-                });
+            if let Some(w) = write {
+                l.def(Loc::mem(w.addr, w.width.bytes()), TreeOp::Move, [s]);
             }
         }
         Instr::Pop { dst } => {
             if let Some(r) = rec.mem.iter().find(|m| !m.is_write) {
-                let s = MicroArg::Loc {
-                    loc: Loc::mem(r.addr, r.width.bytes()),
-                    value: r.value,
-                    addr_regs: Vec::new(),
-                    addr_disp: r.expr.disp as i64,
-                };
+                let s = MicroArg::mem(r);
                 match dst {
-                    Operand::Reg(reg) => step.defs.push(DefEvent {
-                        dst: Loc::reg(*reg),
-                        op: TreeOp::Move,
-                        args: vec![s],
-                    }),
+                    Operand::Reg(reg) => l.def(Loc::reg(*reg), TreeOp::Move, [s]),
                     Operand::Mem(_) => {
-                        if let Some(w) = rec.mem.iter().find(|m| m.is_write) {
-                            step.defs.push(DefEvent {
-                                dst: Loc::mem(w.addr, w.width.bytes()),
-                                op: TreeOp::Move,
-                                args: vec![s],
-                            });
+                        if let Some(w) = write {
+                            l.def(Loc::mem(w.addr, w.width.bytes()), TreeOp::Move, [s]);
                         }
                     }
                     Operand::Imm(_) => {}
@@ -410,39 +628,27 @@ pub fn lower_step(rec: &StepRecord) -> Result<MicroStep, ExtractError> {
                 FpSrc::MemI32(_) => TreeOp::IntToFloat,
                 _ => TreeOp::Move,
             };
-            step.defs.push(DefEvent {
-                dst: Loc::fp(new_top),
-                op,
-                args: vec![arg],
-            });
+            l.def(Loc::fp(new_top), op, [arg]);
         }
         Instr::Fst { dst, .. } => {
             let src = MicroArg::simple(Loc::fp(top));
             match dst {
-                FpSrc::St(i) => step.defs.push(DefEvent {
-                    dst: Loc::fp((top + i) % 8),
-                    op: TreeOp::Move,
-                    args: vec![src],
-                }),
+                FpSrc::St(i) => l.def(Loc::fp((top + i) % 8), TreeOp::Move, [src]),
                 _ => {
-                    if let Some(w) = rec.mem.iter().find(|m| m.is_write) {
-                        step.defs.push(DefEvent {
-                            dst: Loc::mem(w.addr, w.width.bytes()),
-                            op: TreeOp::Move,
-                            args: vec![src],
-                        });
+                    if let Some(w) = write {
+                        l.def(Loc::mem(w.addr, w.width.bytes()), TreeOp::Move, [src]);
                     }
                 }
             }
         }
         Instr::Fistp { .. } => {
             let src = MicroArg::simple(Loc::fp(top));
-            if let Some(w) = rec.mem.iter().find(|m| m.is_write) {
-                step.defs.push(DefEvent {
-                    dst: Loc::mem(w.addr, w.width.bytes()),
-                    op: TreeOp::FloatToIntRound,
-                    args: vec![src],
-                });
+            if let Some(w) = write {
+                l.def(
+                    Loc::mem(w.addr, w.width.bytes()),
+                    TreeOp::FloatToIntRound,
+                    [src],
+                );
             }
         }
         Instr::Farith {
@@ -457,58 +663,34 @@ pub fn lower_step(rec: &StepRecord) -> Result<MicroStep, ExtractError> {
                 helium_machine::FpOp::Mul => TreeOp::FMul,
                 helium_machine::FpOp::Div => TreeOp::FDiv,
             };
+            let top_arg = MicroArg::simple(Loc::fp(top));
             if *reverse_dst {
                 let slot = match src {
                     FpSrc::St(i) => (top + i) % 8,
                     _ => top,
                 };
-                step.defs.push(DefEvent {
-                    dst: Loc::fp(slot),
-                    op: tree_op,
-                    args: vec![
-                        MicroArg::simple(Loc::fp(slot)),
-                        MicroArg::simple(Loc::fp(top)),
-                    ],
-                });
+                let dst = Loc::fp(slot);
+                l.def(dst, tree_op, [MicroArg::simple(dst), top_arg]);
             } else {
-                let rhs = fp_arg(src, rec, top);
-                step.defs.push(DefEvent {
-                    dst: Loc::fp(top),
-                    op: tree_op,
-                    args: vec![MicroArg::simple(Loc::fp(top)), rhs],
-                });
+                l.def(Loc::fp(top), tree_op, [top_arg, fp_arg(src, rec, top)]);
             }
         }
         Instr::Fxch { slot } => {
             let a = Loc::fp(top);
             let b = Loc::fp((top + slot) % 8);
-            step.defs.push(DefEvent {
-                dst: a,
-                op: TreeOp::Move,
-                args: vec![MicroArg::simple(b)],
-            });
-            step.defs.push(DefEvent {
-                dst: b,
-                op: TreeOp::Move,
-                args: vec![MicroArg::simple(a)],
-            });
+            l.def(a, TreeOp::Move, [MicroArg::simple(b)]);
+            l.def(b, TreeOp::Move, [MicroArg::simple(a)]);
         }
         Instr::CallExtern { func } => {
             // Arguments are consumed from the FP stack, result pushed back.
             let arity = func.arity() as u8;
             let result_slot = (top + arity - 1) % 8;
-            let args: Vec<MicroArg> = (0..arity)
-                .map(|i| MicroArg::simple(Loc::fp((top + i) % 8)))
-                .collect();
-            step.defs.push(DefEvent {
-                dst: Loc::fp(result_slot),
-                op: TreeOp::Extern(*func),
-                args,
-            });
+            let args = (0..arity).map(|i| MicroArg::simple(Loc::fp((top + i) % 8)));
+            l.def(Loc::fp(result_slot), TreeOp::Extern(*func), args);
         }
         Instr::Jmp { .. } | Instr::Call { .. } | Instr::Ret | Instr::Nop | Instr::Halt => {}
     }
-    Ok(step)
+    Ok(l.step)
 }
 
 // ---------------------------------------------------------------------------
@@ -520,9 +702,10 @@ pub fn lower_step(rec: &StepRecord) -> Result<MicroStep, ExtractError> {
 pub struct ForwardInfo {
     /// Static addresses of input-dependent conditional jumps.
     pub input_dep_jccs: BTreeSet<u32>,
-    /// For each static instruction: the input-dependent conditionals (static
-    /// jcc address) and the branch direction required to reach it, when that
-    /// direction is consistent across the whole trace.
+    /// For each static instruction executed after some input-dependent
+    /// conditional: those conditionals (static jcc address) and the branch
+    /// direction required to reach it, when that direction is consistent
+    /// across the whole trace.
     pub requirements: BTreeMap<u32, BTreeMap<u32, bool>>,
     /// Static instructions performing indirect (data-dependent) memory access.
     pub indirect_access: BTreeSet<u32>,
@@ -534,9 +717,13 @@ pub struct ForwardInfo {
 }
 
 /// Run the forward taint analysis over lowered steps.
-pub fn forward_analysis(steps: &[MicroStep], input_buffers: &[BufferLayout]) -> ForwardInfo {
+pub fn forward_analysis(
+    steps: &[MicroStep],
+    args: &[MicroArg],
+    input_buffers: &[BufferLayout],
+) -> ForwardInfo {
     let mut info = ForwardInfo::default();
-    let mut tainted: BTreeSet<u64> = BTreeSet::new();
+    let mut tainted: Shadow<bool> = Shadow::new();
     let mut flags_tainted = false;
     let mut last_flag_writer: Option<usize> = None;
     // Last outcome of each input-dependent jcc (static addr -> (outcome)).
@@ -544,66 +731,52 @@ pub fn forward_analysis(steps: &[MicroStep], input_buffers: &[BufferLayout]) -> 
     // Accumulated requirement state: Some(dir) = consistent, None = mixed.
     let mut req: BTreeMap<u32, BTreeMap<u32, Option<bool>>> = BTreeMap::new();
 
-    let arg_tainted = |tainted: &BTreeSet<u64>, arg: &MicroArg| -> bool {
-        match arg {
-            MicroArg::Imm(_) => false,
-            MicroArg::Loc { loc, .. } => loc.bytes().any(|b| tainted.contains(&b)),
-        }
-    };
     let loc_in_inputs = |loc: &Loc| -> bool {
         loc.is_memory() && input_buffers.iter().any(|b| b.contains(loc.addr as u32))
     };
+    // Whether an argument carries input data: read from an input buffer or
+    // from a tainted location.
+    let arg_input = |tainted: &Shadow<bool>, arg: &MicroArg| -> bool {
+        match arg {
+            MicroArg::Imm(_) => false,
+            MicroArg::Loc { loc, .. } => tainted.max(*loc) || loc_in_inputs(loc),
+        }
+    };
 
     for (idx, step) in steps.iter().enumerate() {
-        // Record requirements for this static instruction.
-        let entry = req.entry(step.addr).or_default();
-        for (jcc, outcome) in &last_outcome {
-            entry
-                .entry(*jcc)
-                .and_modify(|e| {
-                    if *e != Some(*outcome) {
-                        *e = None;
-                    }
-                })
-                .or_insert(Some(*outcome));
+        // Record requirements for this static instruction, once some
+        // input-dependent conditional has an outcome.
+        if !last_outcome.is_empty() {
+            let entry = req.entry(step.addr).or_default();
+            for (jcc, outcome) in &last_outcome {
+                entry
+                    .entry(*jcc)
+                    .and_modify(|e| {
+                        if *e != Some(*outcome) {
+                            *e = None;
+                        }
+                    })
+                    .or_insert(Some(*outcome));
+            }
         }
 
         // Taint propagation through defs.
-        for def in &step.defs {
+        for def in step.defs.iter() {
             let mut t = false;
-            for arg in &def.args {
-                if arg_tainted(&tainted, arg) {
-                    t = true;
-                }
-                if let MicroArg::Loc { loc, addr_regs, .. } = arg {
-                    if loc_in_inputs(loc) {
-                        t = true;
-                    }
-                    // Indirect access: an address register is tainted.
-                    for (r, _) in addr_regs {
-                        if r.bytes().any(|b| tainted.contains(&b)) {
-                            info.indirect_access.insert(step.addr);
-                        }
+            for arg in def.args.of(args) {
+                t |= arg_input(&tainted, arg);
+                // Indirect access: an address register is tainted.
+                if let MicroArg::Loc { addr_regs, .. } = arg {
+                    if addr_regs.iter().any(|r| tainted.max(r.loc())) {
+                        info.indirect_access.insert(step.addr);
                     }
                 }
             }
-            if t {
-                for b in def.dst.bytes() {
-                    tainted.insert(b);
-                }
-            } else {
-                for b in def.dst.bytes() {
-                    tainted.remove(&b);
-                }
-            }
+            tainted.set(def.dst, t);
         }
         // Flags.
-        if let Some(flags) = &step.flags {
-            let direct = arg_tainted(&tainted, &flags.a)
-                || arg_tainted(&tainted, &flags.b)
-                || matches!(&flags.a, MicroArg::Loc { loc, .. } if loc_in_inputs(loc))
-                || matches!(&flags.b, MicroArg::Loc { loc, .. } if loc_in_inputs(loc));
-            flags_tainted = direct;
+        if let Some(flags) = step.flags {
+            flags_tainted = flags.of(args).iter().any(|a| arg_input(&tainted, a));
             last_flag_writer = Some(idx);
         }
         // Conditional jumps on tainted flags are input-dependent conditionals.
@@ -639,59 +812,64 @@ pub fn forward_analysis(steps: &[MicroStep], input_buffers: &[BufferLayout]) -> 
 // Backward analysis (paper §4.7)
 // ---------------------------------------------------------------------------
 
-/// Preprocessed trace with reaching-definition links.
+/// Preprocessed trace: lowered steps whose reads carry their reaching
+/// definitions.
 #[derive(Debug)]
 pub struct PreparedTrace {
     /// Lowered steps.
     pub steps: Vec<MicroStep>,
-    /// For each dynamic step: for each def, for each argument byte range, the
-    /// dynamic index of the step that defined it (if any).
-    reaching: Vec<Vec<Vec<Option<usize>>>>,
+    /// The arguments of every step's events, in trace order.
+    args: Vec<MicroArg>,
     /// Forward-analysis results.
     pub forward: ForwardInfo,
 }
 
-/// Lower the whole instruction trace and compute reaching definitions.
+impl PreparedTrace {
+    /// The arguments a span of this trace refers to.
+    pub fn args(&self, span: Args) -> &[MicroArg] {
+        span.of(&self.args)
+    }
+}
+
+/// Lower the whole instruction trace, run the forward analysis and record
+/// the reaching definition of every location each step reads.
 pub fn prepare_trace(
     trace: &InstructionTrace,
     input_buffers: &[BufferLayout],
 ) -> Result<PreparedTrace, ExtractError> {
     let mut steps = Vec::with_capacity(trace.records.len());
-    for rec in &trace.records {
-        steps.push(lower_step(rec)?);
-    }
-    let forward = forward_analysis(&steps, input_buffers);
-
-    // Reaching definitions at byte granularity.
-    let mut last_def: HashMap<u64, usize> = HashMap::new();
-    let mut reaching: Vec<Vec<Vec<Option<usize>>>> = Vec::with_capacity(steps.len());
-    for (idx, step) in steps.iter().enumerate() {
-        let mut per_def = Vec::with_capacity(step.defs.len());
-        for def in &step.defs {
-            let mut per_arg = Vec::with_capacity(def.args.len());
-            for arg in &def.args {
-                per_arg.push(match arg {
-                    MicroArg::Imm(_) => None,
-                    MicroArg::Loc { loc, .. } => {
-                        // Use the definition of the lowest byte; kernels write
-                        // whole operands so bytes agree in practice.
-                        loc.bytes().filter_map(|b| last_def.get(&b).copied()).max()
-                    }
-                });
-            }
-            per_def.push(per_arg);
-        }
-        reaching.push(per_def);
-        for def in &step.defs {
-            for b in def.dst.bytes() {
-                last_def.insert(b, idx);
+    let mut args = Vec::with_capacity(2 * trace.records.len());
+    // The latest step that wrote each byte.
+    let mut last_def: Shadow<Reaching> = Shadow::new();
+    for (idx, rec) in trace.records.iter().enumerate() {
+        let first_arg = args.len();
+        let step = lower_step(rec, &mut args)?;
+        // Every read of the step sees the definitions made before it, so
+        // all reads resolve before any of the step's own writes land. A
+        // read spanning several definitions takes the latest of them.
+        for arg in &mut args[first_arg..] {
+            if let MicroArg::Loc {
+                loc,
+                addr_regs,
+                def,
+                ..
+            } = arg
+            {
+                *def = last_def.max(*loc);
+                for r in addr_regs.iter_mut() {
+                    r.def = last_def.max(r.loc());
+                }
             }
         }
-        let _ = idx;
+        for def in step.defs.iter() {
+            last_def.set(def.dst, Reaching::at(idx));
+        }
+        steps.push(step);
     }
+    let forward = forward_analysis(&steps, &args, input_buffers);
     Ok(PreparedTrace {
         steps,
-        reaching,
+        args,
         forward,
     })
 }
@@ -702,57 +880,84 @@ pub struct TreeBuilder<'a> {
     buffers: &'a [BufferLayout],
 }
 
+/// The state of building one tree: the tree itself, the output buffer it
+/// writes (an index into the builder's buffers), whether it reads that
+/// buffer back, and the branch directions its instructions require.
+struct Walk {
+    tree: Tree,
+    out_buffer: usize,
+    recursive: bool,
+    required: BTreeMap<u32, bool>,
+}
+
+impl Walk {
+    fn new(output: Leaf, output_width: u32, out_buffer: usize) -> Walk {
+        Walk {
+            tree: Tree {
+                nodes: Vec::new(),
+                root: 0,
+                output,
+                output_width,
+            },
+            out_buffer,
+            recursive: false,
+            required: BTreeMap::new(),
+        }
+    }
+
+    fn leaf(&mut self, leaf: Leaf) -> usize {
+        self.tree.push(TreeNode::Leaf(leaf))
+    }
+
+    fn op(&mut self, op: TreeOp, children: Vec<usize>, width: u32) -> usize {
+        self.tree.push(TreeNode::Op {
+            op,
+            children,
+            width,
+        })
+    }
+
+    /// Set the root and canonicalize.
+    fn finish(mut self, root: usize) -> (Tree, bool, BTreeMap<u32, bool>) {
+        self.tree.root = root;
+        self.tree.canonicalize();
+        (self.tree, self.recursive, self.required)
+    }
+}
+
 impl<'a> TreeBuilder<'a> {
     /// Create a builder over a prepared trace and the inferred buffer layouts.
     pub fn new(prepared: &'a PreparedTrace, buffers: &'a [BufferLayout]) -> Self {
         TreeBuilder { prepared, buffers }
     }
 
-    fn buffer_of(&self, addr: u64) -> Option<&BufferLayout> {
+    /// Index of the buffer containing `addr`.
+    fn buffer_of(&self, addr: u64) -> Option<usize> {
         if addr >= REG_SPACE {
             return None;
         }
-        self.buffers.iter().find(|b| b.contains(addr as u32))
+        self.buffers.iter().position(|b| b.contains(addr as u32))
     }
 
     /// Build the concrete guarded tree for the output write performed by the
     /// def `def_idx` of dynamic step `idx`.
     pub fn build_output_tree(&self, idx: usize, def_idx: usize) -> Option<GuardedTree> {
-        let step = &self.prepared.steps[idx];
-        let def = &step.defs[def_idx];
+        let def = &self.prepared.steps[idx].defs[def_idx];
         let out_buffer = self.buffer_of(def.dst.addr)?;
-        let out_name = out_buffer.name.clone();
-        let mut tree = Tree {
-            nodes: Vec::new(),
-            root: 0,
-            output: Leaf::Mem {
-                addr: def.dst.addr,
-                width: def.dst.width,
-                value: 0,
-            },
-            output_width: def.dst.width,
+        let output = Leaf::Mem {
+            addr: def.dst.addr,
+            width: def.dst.width,
+            value: 0,
         };
-        let mut recursive = false;
-        let mut required: BTreeMap<u32, bool> = BTreeMap::new();
-        let root = self.expand(
-            idx,
-            def_idx,
-            &mut tree,
-            &out_name,
-            &mut recursive,
-            &mut required,
-            0,
-        );
-        tree.root = root;
-        tree.canonicalize();
+        let mut walk = Walk::new(output, def.dst.width, out_buffer);
+        let root = self.expand(&mut walk, idx, def_idx, 0);
+        let (tree, recursive, required) = walk.finish(root);
 
         // Build predicate trees for the requirements collected along the way.
-        let mut predicates = Vec::new();
-        for (jcc_addr, dir) in required {
-            if let Some(p) = self.build_predicate(idx, jcc_addr, dir, &out_name) {
-                predicates.push(p);
-            }
-        }
+        let predicates = required
+            .into_iter()
+            .filter_map(|(jcc_addr, dir)| self.build_predicate(idx, jcc_addr, dir, out_buffer))
+            .collect();
         Some(GuardedTree {
             tree,
             predicates,
@@ -760,40 +965,28 @@ impl<'a> TreeBuilder<'a> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        idx: usize,
-        def_idx: usize,
-        tree: &mut Tree,
-        out_buffer: &str,
-        recursive: &mut bool,
-        required: &mut BTreeMap<u32, bool>,
-        depth: usize,
-    ) -> usize {
+    /// Expand the def `def_idx` of dynamic step `idx` into `walk`, returning
+    /// the node computing its value.
+    fn expand(&self, walk: &mut Walk, idx: usize, def_idx: usize, depth: usize) -> usize {
         let step = &self.prepared.steps[idx];
         let def = &step.defs[def_idx];
         // Record control requirements of this instruction.
         if let Some(reqs) = self.prepared.forward.requirements.get(&step.addr) {
-            for (jcc, dir) in reqs {
-                required.insert(*jcc, *dir);
-            }
+            walk.required.extend(reqs);
         }
         if depth > 512 {
-            return tree.push(TreeNode::Leaf(Leaf::Const(0)));
+            return walk.leaf(Leaf::Const(0));
         }
         let indirect = self.prepared.forward.indirect_access.contains(&step.addr);
-        let mut children = Vec::new();
-        for (arg_i, arg) in def.args.iter().enumerate() {
-            let child = self.expand_arg(
-                idx, def_idx, arg_i, arg, tree, out_buffer, recursive, required, depth, indirect,
-            );
-            children.push(child);
-        }
+        let args = self.prepared.args(def.args);
+        let children: Vec<usize> = args
+            .iter()
+            .map(|arg| self.expand_arg(walk, arg, depth, indirect))
+            .collect();
         // Collapse pure moves with a single child to keep trees small, but
         // keep width-changing moves as explicit downcast nodes.
         if def.op == TreeOp::Move && children.len() == 1 {
-            let src_width = match &def.args[0] {
+            let src_width = match &args[0] {
                 MicroArg::Loc { loc, .. } => loc.width,
                 MicroArg::Imm(_) => def.dst.width,
             };
@@ -805,177 +998,94 @@ impl<'a> TreeBuilder<'a> {
             } else {
                 TreeOp::Move
             };
-            return tree.push(TreeNode::Op {
-                op,
-                children,
-                width: def.dst.width,
-            });
+            return walk.op(op, children, def.dst.width);
         }
-        tree.push(TreeNode::Op {
-            op: def.op,
-            children,
-            width: def.dst.width,
-        })
+        walk.op(def.op, children, def.dst.width)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn expand_arg(
-        &self,
-        idx: usize,
-        def_idx: usize,
-        arg_i: usize,
-        arg: &MicroArg,
-        tree: &mut Tree,
-        out_buffer: &str,
-        recursive: &mut bool,
-        required: &mut BTreeMap<u32, bool>,
-        depth: usize,
-        indirect: bool,
-    ) -> usize {
-        match arg {
-            MicroArg::Imm(v) => tree.push(TreeNode::Leaf(Leaf::Const(*v))),
+    fn expand_arg(&self, walk: &mut Walk, arg: &MicroArg, depth: usize, indirect: bool) -> usize {
+        let (loc, value, addr_regs, def) = match arg {
+            MicroArg::Imm(v) => return walk.leaf(Leaf::Const(*v)),
             MicroArg::Loc {
                 loc,
                 value,
                 addr_regs,
-                ..
-            } => {
-                // Recursive reference to the output buffer?
-                if let Some(b) = self.buffer_of(loc.addr) {
-                    if b.name == out_buffer && b.role == BufferRole::Output {
-                        *recursive = true;
-                        let rec_leaf = tree.push(TreeNode::Leaf(Leaf::RecursiveRef {
-                            buffer: b.name.clone(),
-                        }));
-                        // Indirectly addressed recursive outputs (histograms)
-                        // keep the address-calculation expression so the
-                        // reduction domain can be inferred from it (paper §4.9).
-                        if indirect && !addr_regs.is_empty() {
-                            let mut index_children = Vec::new();
-                            for (reg_loc, _scale) in addr_regs {
-                                let child = match self.reaching_def_of_loc(idx, *reg_loc) {
-                                    Some((di, dd)) => self.expand(
-                                        di,
-                                        dd,
-                                        tree,
-                                        out_buffer,
-                                        recursive,
-                                        required,
-                                        depth + 1,
-                                    ),
-                                    None => tree.push(TreeNode::Leaf(Leaf::Mem {
-                                        addr: reg_loc.addr,
-                                        width: reg_loc.width,
-                                        value: 0,
-                                    })),
-                                };
-                                index_children.push(child);
-                            }
-                            let index = if index_children.len() == 1 {
-                                index_children[0]
-                            } else {
-                                tree.push(TreeNode::Op {
-                                    op: TreeOp::Add,
-                                    children: index_children,
-                                    width: 4,
-                                })
-                            };
-                            return tree.push(TreeNode::Op {
-                                op: TreeOp::IndirectLoad,
-                                children: vec![rec_leaf, index],
-                                width: loc.width,
-                            });
-                        }
-                        return rec_leaf;
-                    }
-                }
-                // Indirect (table) access: wrap the leaf in an IndirectLoad
-                // whose child is the index expression built from the address
-                // registers.
-                if indirect && loc.is_memory() && !addr_regs.is_empty() {
-                    let mut index_children = Vec::new();
-                    for (reg_loc, _scale) in addr_regs {
-                        let child = match self.reaching_def_of_loc(idx, *reg_loc) {
-                            Some((di, dd)) => self.expand(
-                                di,
-                                dd,
-                                tree,
-                                out_buffer,
-                                recursive,
-                                required,
-                                depth + 1,
-                            ),
-                            None => tree.push(TreeNode::Leaf(Leaf::Mem {
-                                addr: reg_loc.addr,
-                                width: reg_loc.width,
-                                value: 0,
-                            })),
-                        };
-                        index_children.push(child);
-                    }
-                    let index = if index_children.len() == 1 {
-                        index_children[0]
-                    } else {
-                        tree.push(TreeNode::Op {
-                            op: TreeOp::Add,
-                            children: index_children,
-                            width: 4,
-                        })
-                    };
-                    let mem_leaf = tree.push(TreeNode::Leaf(Leaf::Mem {
-                        addr: loc.addr,
-                        width: loc.width,
-                        value: *value,
-                    }));
-                    return tree.push(TreeNode::Op {
-                        op: TreeOp::IndirectLoad,
-                        children: vec![mem_leaf, index],
-                        width: loc.width,
-                    });
-                }
-                // Follow the reaching definition if there is one.
-                let def_link = self.prepared.reaching[idx][def_idx][arg_i];
-                match def_link {
-                    Some(di) => {
-                        // Find which def of that step wrote this location.
-                        let dd = self.prepared.steps[di]
-                            .defs
-                            .iter()
-                            .position(|d| d.dst.overlaps(loc))
-                            .unwrap_or(0);
-                        let child =
-                            self.expand(di, dd, tree, out_buffer, recursive, required, depth + 1);
-                        let def_width = self.prepared.steps[di].defs[dd].dst.width;
-                        if loc.width < def_width {
-                            tree.push(TreeNode::Op {
-                                op: TreeOp::Downcast,
-                                children: vec![child],
-                                width: loc.width,
-                            })
-                        } else {
-                            child
-                        }
-                    }
-                    None => tree.push(TreeNode::Leaf(Leaf::Mem {
-                        addr: loc.addr,
-                        width: loc.width,
-                        value: *value,
-                    })),
-                }
+                def,
+            } => (*loc, *value, addr_regs, *def),
+        };
+        // Recursive reference to the output buffer?
+        let out = &self.buffers[walk.out_buffer];
+        if out.role == BufferRole::Output && self.buffer_of(loc.addr) == Some(walk.out_buffer) {
+            walk.recursive = true;
+            let rec_leaf = walk.leaf(Leaf::RecursiveRef {
+                buffer: out.name.clone(),
+            });
+            // Indirectly addressed recursive outputs (histograms) keep the
+            // address-calculation expression so the reduction domain can be
+            // inferred from it (paper §4.9).
+            if indirect && !addr_regs.is_empty() {
+                let index = self.index_expr(walk, addr_regs, depth);
+                return walk.op(TreeOp::IndirectLoad, vec![rec_leaf, index], loc.width);
             }
+            return rec_leaf;
+        }
+        // Indirect (table) access: wrap the leaf in an IndirectLoad whose
+        // child is the index expression built from the address registers.
+        if indirect && loc.is_memory() && !addr_regs.is_empty() {
+            let index = self.index_expr(walk, addr_regs, depth);
+            let mem_leaf = walk.leaf(Leaf::Mem {
+                addr: loc.addr,
+                width: loc.width,
+                value,
+            });
+            return walk.op(TreeOp::IndirectLoad, vec![mem_leaf, index], loc.width);
+        }
+        // Follow the reaching definition if there is one.
+        let Some(di) = def.step() else {
+            return walk.leaf(Leaf::Mem {
+                addr: loc.addr,
+                width: loc.width,
+                value,
+            });
+        };
+        let (child, def_width) = self.expand_def_of(walk, di, loc, depth + 1);
+        if loc.width < def_width {
+            walk.op(TreeOp::Downcast, vec![child], loc.width)
+        } else {
+            child
         }
     }
 
-    fn reaching_def_of_loc(&self, before_idx: usize, loc: Loc) -> Option<(usize, usize)> {
-        // Walk backwards to find the most recent def overlapping `loc`.
-        for i in (0..before_idx).rev() {
-            for (d, def) in self.prepared.steps[i].defs.iter().enumerate() {
-                if def.dst.overlaps(&loc) {
-                    return Some((i, d));
+    /// Expand the def of dynamic step `di` that wrote (part of) `loc`: the
+    /// first one overlapping it. Returns the node and the def's width.
+    fn expand_def_of(&self, walk: &mut Walk, di: usize, loc: Loc, depth: usize) -> (usize, u32) {
+        let defs = &self.prepared.steps[di].defs;
+        let dd = defs.iter().position(|d| d.dst.overlaps(&loc)).unwrap_or(0);
+        (self.expand(walk, di, dd, depth), defs[dd].dst.width)
+    }
+
+    /// The index expression of an indirect access: the sum of its address
+    /// registers' values.
+    fn index_expr(&self, walk: &mut Walk, addr_regs: &[AddrReg], depth: usize) -> usize {
+        let children: Vec<usize> = addr_regs
+            .iter()
+            .map(|r| {
+                let loc = r.loc();
+                match r.def.step() {
+                    Some(di) => self.expand_def_of(walk, di, loc, depth + 1).0,
+                    None => walk.leaf(Leaf::Mem {
+                        addr: loc.addr,
+                        width: loc.width,
+                        value: 0,
+                    }),
                 }
-            }
+            })
+            .collect();
+        if children.len() == 1 {
+            children[0]
+        } else {
+            walk.op(TreeOp::Add, children, 4)
         }
-        None
     }
 
     /// Build the predicate tree for the most recent dynamic occurrence of the
@@ -985,7 +1095,7 @@ impl<'a> TreeBuilder<'a> {
         before_idx: usize,
         jcc_addr: u32,
         taken: bool,
-        out_buffer: &str,
+        out_buffer: usize,
     ) -> Option<Predicate> {
         let dynamics = self.prepared.forward.jcc_dynamic.get(&jcc_addr)?;
         let (jcc_idx, _) = dynamics
@@ -994,68 +1104,33 @@ impl<'a> TreeBuilder<'a> {
             .find(|(i, _)| *i <= before_idx)
             .or_else(|| dynamics.first())?;
         let flag_idx = *self.prepared.forward.jcc_flag_writer.get(jcc_idx)?;
-        let flags = self.prepared.steps[flag_idx].flags.clone()?;
+        let flags = self.prepared.args(self.prepared.steps[flag_idx].flags?);
         let (cond, _) = self.prepared.steps[*jcc_idx].branch?;
         let cmp = cond_to_cmp(cond);
         let cmp = if taken { cmp } else { cmp.negate() };
-
-        let mut build_side = |arg: &MicroArg| -> Tree {
-            let mut tree = Tree {
-                nodes: Vec::new(),
-                root: 0,
-                output: Leaf::Const(0),
-                output_width: 4,
-            };
-            let mut rec = false;
-            let mut req = BTreeMap::new();
-            let root = self.expand_arg(
-                flag_idx,
-                0,
-                usize::MAX,
-                arg,
-                &mut tree,
-                out_buffer,
-                &mut rec,
-                &mut req,
-                0,
-                false,
-            );
-            tree.root = root;
-            tree.canonicalize();
-            tree
-        };
-        // `expand_arg` indexes `reaching` with (idx, def_idx, arg_i); for flag
-        // operands there is no def entry, so resolve the reaching definition
-        // directly instead.
-        let lhs = self.build_flag_side(flag_idx, &flags.a, out_buffer);
-        let rhs = self.build_flag_side(flag_idx, &flags.b, out_buffer);
-        let _ = &mut build_side;
+        let lhs = self.build_flag_side(&flags[0], out_buffer);
+        let rhs = self.build_flag_side(&flags[1], out_buffer);
         Some(Predicate { cmp, lhs, rhs })
     }
 
-    fn build_flag_side(&self, flag_idx: usize, arg: &MicroArg, out_buffer: &str) -> Tree {
-        let mut tree = Tree {
-            nodes: Vec::new(),
-            root: 0,
-            output: Leaf::Const(0),
-            output_width: 4,
-        };
-        let mut rec = false;
-        let mut req = BTreeMap::new();
+    /// The tree of one flag operand, followed through its reaching
+    /// definition.
+    fn build_flag_side(&self, arg: &MicroArg, out_buffer: usize) -> Tree {
+        let mut walk = Walk::new(Leaf::Const(0), 4, out_buffer);
         let root = match arg {
-            MicroArg::Imm(v) => tree.push(TreeNode::Leaf(Leaf::Const(*v))),
-            MicroArg::Loc { loc, value, .. } => match self.reaching_def_of_loc(flag_idx, *loc) {
-                Some((di, dd)) => self.expand(di, dd, &mut tree, out_buffer, &mut rec, &mut req, 0),
-                None => tree.push(TreeNode::Leaf(Leaf::Mem {
+            MicroArg::Imm(v) => walk.leaf(Leaf::Const(*v)),
+            MicroArg::Loc {
+                loc, value, def, ..
+            } => match def.step() {
+                Some(di) => self.expand_def_of(&mut walk, di, *loc, 0).0,
+                None => walk.leaf(Leaf::Mem {
                     addr: loc.addr,
                     width: loc.width,
                     value: *value,
-                })),
+                }),
             },
         };
-        tree.root = root;
-        tree.canonicalize();
-        tree
+        walk.finish(root).0
     }
 
     /// Enumerate all output-buffer writes in the trace as `(step, def)` pairs.
@@ -1064,7 +1139,7 @@ impl<'a> TreeBuilder<'a> {
         for (i, step) in self.prepared.steps.iter().enumerate() {
             for (d, def) in step.defs.iter().enumerate() {
                 if let Some(b) = self.buffer_of(def.dst.addr) {
-                    if b.role == BufferRole::Output {
+                    if self.buffers[b].role == BufferRole::Output {
                         out.push((i, d));
                     }
                 }
@@ -1133,7 +1208,8 @@ mod tests {
             },
             vec![],
         );
-        let step = lower_step(&rec).unwrap();
+        let mut args = Vec::new();
+        let step = lower_step(&rec, &mut args).unwrap();
         assert_eq!(step.defs.len(), 1);
         assert_eq!(step.defs[0].op, TreeOp::Move);
 
@@ -1145,10 +1221,15 @@ mod tests {
             },
             vec![mem_access(0x9000, Width::B4, false, 42)],
         );
-        let step = lower_step(&rec).unwrap();
+        let step = lower_step(&rec, &mut args).unwrap();
         assert_eq!(step.defs[0].op, TreeOp::Add);
-        assert_eq!(step.defs[0].args.len(), 2);
-        assert!(step.flags.is_some());
+        assert_eq!(step.defs[0].args.of(&args).len(), 2);
+        // The flags compare the operands the sum combines.
+        assert_eq!(step.flags, Some(step.defs[0].args));
+        assert!(matches!(
+            step.defs[0].args.of(&args)[1],
+            MicroArg::Loc { value: 42, .. }
+        ));
     }
 
     #[test]
@@ -1162,9 +1243,48 @@ mod tests {
                 vec![mem_access(0x9100, Width::B8, false, 0)],
             )
         };
-        let step = lower_step(&rec).unwrap();
+        let step = lower_step(&rec, &mut Vec::new()).unwrap();
         // Push decrements the top: physical slot 2.
         assert_eq!(step.defs[0].dst, Loc::fp(2));
+    }
+
+    #[test]
+    fn reads_resolve_to_the_latest_definition_of_any_byte() {
+        let mov = |dst, v| {
+            record(
+                Instr::Mov {
+                    dst: Operand::Reg(dst),
+                    src: Operand::Imm(v),
+                },
+                vec![],
+            )
+        };
+        let trace = InstructionTrace {
+            records: vec![
+                mov(regs::eax(), 1),
+                mov(regs::ah(), 2),
+                record(
+                    Instr::Alu {
+                        op: AluOp::Add,
+                        dst: Operand::Reg(regs::ecx()),
+                        src: Operand::Reg(regs::eax()),
+                    },
+                    vec![],
+                ),
+            ],
+            invocations: vec![(0, 3)],
+        };
+        let prepared = prepare_trace(&trace, &[]).unwrap();
+        let reaching: Vec<Option<usize>> = prepared
+            .args(prepared.steps[2].defs[0].args)
+            .iter()
+            .map(|a| match a {
+                MicroArg::Loc { def, .. } => def.step(),
+                MicroArg::Imm(_) => None,
+            })
+            .collect();
+        // ecx was never written; eax's second byte was last written by step 1.
+        assert_eq!(reaching, vec![None, Some(1)]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod trees;
 
 pub use codegen::GeneratedKernel;
 pub use layout::{BufferLayout, BufferRole, KnownData};
-pub use lift::{LiftError, LiftRequest, LiftStats, LiftedStencil, Lifter};
+pub use lift::{LiftError, LiftPhases, LiftRequest, LiftStats, LiftedStencil, Lifter};
 pub use localize::{Localization, LocalizationStats};
 pub use symbolic::SymbolicCluster;
 pub use trees::{GuardedTree, Tree};

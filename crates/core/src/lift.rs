@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Everything the lifter needs to know about the target program.
 #[derive(Debug, Clone, Default)]
@@ -115,6 +116,60 @@ pub struct LiftStats {
     pub dynamic_instruction_count: usize,
     /// Node counts of representative computational trees, one per cluster.
     pub tree_sizes: Vec<usize>,
+    /// Wall time of each lifting phase.
+    pub phases: LiftPhases,
+}
+
+/// Wall time of each phase of one [`Lifter::lift`], in pipeline order. The
+/// phases do not overlap, so their sum is at most the lift's wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct LiftPhases {
+    /// Coverage runs with and without the kernel, and their difference.
+    pub coverage: Duration,
+    /// Profiling run of the difference blocks.
+    pub profile: Duration,
+    /// Filter-function selection (paper §3).
+    pub localize: Duration,
+    /// Instruction trace and memory dump of the filter function.
+    pub trace: Duration,
+    /// Buffer structure reconstruction (paper §4.2).
+    pub regions: Duration,
+    /// Buffer layout inference and input/output selection (paper §4.3–§4.4).
+    pub layout: Duration,
+    /// Lowering, forward analysis and reaching definitions (paper §4.5–§4.6).
+    pub prepare_trace: Duration,
+    /// Concrete tree building, canonicalization and abstraction (paper §4.7).
+    pub trees: Duration,
+    /// Tree clustering (paper §4.8).
+    pub cluster: Duration,
+    /// Symbolic solve of each cluster (paper §4.9–§4.10).
+    pub solve: Duration,
+    /// Halide code generation (paper §4.11).
+    pub codegen: Duration,
+}
+
+impl LiftPhases {
+    /// The phases with their names, in pipeline order.
+    pub fn named(&self) -> [(&'static str, Duration); 11] {
+        [
+            ("coverage", self.coverage),
+            ("profile", self.profile),
+            ("localize", self.localize),
+            ("trace", self.trace),
+            ("regions", self.regions),
+            ("layout", self.layout),
+            ("prepare_trace", self.prepare_trace),
+            ("trees", self.trees),
+            ("cluster", self.cluster),
+            ("solve", self.solve),
+            ("codegen", self.codegen),
+        ]
+    }
+
+    /// Sum of all phases.
+    pub fn total(&self) -> Duration {
+        self.named().iter().map(|(_, d)| *d).sum()
+    }
 }
 
 /// The result of lifting one stencil.
@@ -224,15 +279,24 @@ impl Lifter {
         request: &LiftRequest,
         mut make_cpu: impl FnMut(bool) -> Cpu,
     ) -> Result<LiftedStencil, LiftError> {
+        let mut phases = LiftPhases::default();
+        let mut clock = Instant::now();
+        let mut lap = || {
+            let now = Instant::now();
+            std::mem::replace(&mut clock, now).elapsed()
+        };
         // Runs 1 & 2: coverage with and without the kernel (paper §3.1).
         let with = self.instrumenter.coverage(program, &mut make_cpu(true))?;
         let without = self.instrumenter.coverage(program, &mut make_cpu(false))?;
         let diff = with.difference(&without);
+        phases.coverage = lap();
         // Run 3: profiling of the difference blocks.
         let profile = self
             .instrumenter
             .profile(program, &mut make_cpu(true), &diff)?;
+        phases.profile = lap();
         let localization = localize(program, &with, &without, &profile, request.approx_data_size)?;
+        phases.localize = lap();
 
         // Run 4: instruction trace + memory dump of the filter function.
         let (trace, dump) = self.instrumenter.function_trace(
@@ -241,6 +305,7 @@ impl Lifter {
             localization.filter_function,
             &localization.candidate_instructions,
         )?;
+        phases.trace = lap();
 
         // Buffer structure reconstruction over the filter-function accesses
         // (paper §4.2), excluding the stack.
@@ -260,6 +325,7 @@ impl Lifter {
         let regions = reconstruct_filtered(&trace_entries, |e| {
             e.addr < stack_top - 0x10_0000 || e.addr > stack_top
         });
+        phases.regions = lap();
 
         // Dimensionality / stride / extent inference (paper §4.3) and
         // input/output buffer selection (paper §4.4).
@@ -442,7 +508,9 @@ impl Lifter {
             .filter(|b| b.role != BufferRole::Output)
             .cloned()
             .collect();
+        phases.layout = lap();
         let prepared: PreparedTrace = crate::extract::prepare_trace(&trace, &input_layouts)?;
+        phases.prepare_trace = lap();
         let builder = TreeBuilder::new(&prepared, &buffers);
         let writes = builder.output_writes();
         if writes.is_empty() {
@@ -454,9 +522,11 @@ impl Lifter {
                 guarded.push(abstract_guarded(&tree, &buffers));
             }
         }
+        phases.trees = lap();
 
         // Clustering and symbolic tree generation (paper §4.8–§4.10).
         let clusters = cluster_trees(guarded);
+        phases.cluster = lap();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut symbolic = Vec::new();
         let mut tree_sizes = Vec::new();
@@ -465,9 +535,11 @@ impl Lifter {
             tree_sizes.push(s.tree.node_count());
             symbolic.push(s);
         }
+        phases.solve = lap();
 
         // Halide code generation (paper §4.11).
         let kernels = generate_kernels(&symbolic, &buffers)?;
+        phases.codegen = lap();
 
         let stats = LiftStats {
             total_basic_blocks: localization.total_blocks,
@@ -477,6 +549,7 @@ impl Lifter {
             memory_dump_bytes: dump.size_bytes(),
             dynamic_instruction_count: trace.len(),
             tree_sizes,
+            phases,
         };
 
         Ok(LiftedStencil {

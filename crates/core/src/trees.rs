@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Operation kinds appearing in dependency trees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -61,6 +61,35 @@ pub enum TreeOp {
 }
 
 impl TreeOp {
+    /// The operation's name: its variant name, or the external function's
+    /// symbol.
+    pub fn name(self) -> &'static str {
+        match self {
+            TreeOp::Add => "Add",
+            TreeOp::Sub => "Sub",
+            TreeOp::Mul => "Mul",
+            TreeOp::And => "And",
+            TreeOp::Or => "Or",
+            TreeOp::Xor => "Xor",
+            TreeOp::Shr => "Shr",
+            TreeOp::Sar => "Sar",
+            TreeOp::Shl => "Shl",
+            TreeOp::Neg => "Neg",
+            TreeOp::Not => "Not",
+            TreeOp::Move => "Move",
+            TreeOp::SignExtend => "SignExtend",
+            TreeOp::Downcast => "Downcast",
+            TreeOp::FAdd => "FAdd",
+            TreeOp::FSub => "FSub",
+            TreeOp::FMul => "FMul",
+            TreeOp::FDiv => "FDiv",
+            TreeOp::IntToFloat => "IntToFloat",
+            TreeOp::FloatToIntRound => "FloatToIntRound",
+            TreeOp::Extern(e) => e.symbol(),
+            TreeOp::IndirectLoad => "IndirectLoad",
+        }
+    }
+
     /// Returns `true` if operand order does not matter.
     pub fn is_commutative(self) -> bool {
         matches!(
@@ -86,10 +115,7 @@ impl TreeOp {
 
 impl fmt::Display for TreeOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TreeOp::Extern(e) => write!(f, "{e}"),
-            other => write!(f, "{other:?}"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -273,28 +299,21 @@ impl Tree {
     /// "modulo constants and memory addresses in the leaves").
     pub fn structure_key(&self) -> String {
         let mut s = String::new();
-        self.structure_of(self.root, &mut s);
+        self.write_structure(&mut s);
         s
+    }
+
+    /// Append [`Tree::structure_key`] to `out`.
+    pub fn write_structure(&self, out: &mut String) {
+        self.structure_of(self.root, out);
     }
 
     fn structure_of(&self, node: usize, out: &mut String) {
         match &self.nodes[node] {
-            TreeNode::Leaf(l) => {
-                let tag = match l {
-                    Leaf::Mem { .. } => "M",
-                    Leaf::BufferRef { buffer, .. } => buffer.as_str(),
-                    Leaf::SymbolicRef { buffer, .. } => buffer.as_str(),
-                    Leaf::Const(_) | Leaf::ConstF(_) => "C",
-                    Leaf::Param { name, .. } => name.as_str(),
-                    Leaf::RecursiveRef { .. } => "R",
-                };
-                out.push('(');
-                out.push_str(tag);
-                out.push(')');
-            }
+            TreeNode::Leaf(l) => push_leaf_key(l, out),
             TreeNode::Op { op, children, .. } => {
                 out.push('(');
-                out.push_str(&op.to_string());
+                out.push_str(op.name());
                 for &c in children {
                     self.structure_of(c, out);
                 }
@@ -306,30 +325,44 @@ impl Tree {
     /// Canonicalize the tree in place: sort the children of commutative
     /// operations by their structural key so trees produced by differently
     /// scheduled/unrolled code compare equal (paper §4.7, "canonicalization").
+    /// Children with equal keys are ordered by node id.
+    ///
+    /// Each subtree's key is built once, bottom-up, from its children's
+    /// keys in their final order.
     pub fn canonicalize(&mut self) {
-        self.canonicalize_node(self.root);
+        self.canonical_key(self.root);
     }
 
-    fn canonicalize_node(&mut self, node: usize) {
-        if let TreeNode::Op { children, op, .. } = self.nodes[node].clone() {
-            for &c in &children {
-                self.canonicalize_node(c);
+    /// Canonicalize the subtree at `node` and return its structural key.
+    fn canonical_key(&mut self, node: usize) -> String {
+        let (op, mut children) = match &mut self.nodes[node] {
+            TreeNode::Leaf(l) => {
+                let mut key = String::new();
+                push_leaf_key(l, &mut key);
+                return key;
             }
-            if op.is_commutative() && children.len() > 1 {
-                let mut keyed: Vec<(String, usize)> = children
-                    .iter()
-                    .map(|&c| {
-                        let mut s = String::new();
-                        self.structure_of(c, &mut s);
-                        (s, c)
-                    })
-                    .collect();
-                keyed.sort();
-                if let TreeNode::Op { children, .. } = &mut self.nodes[node] {
-                    *children = keyed.into_iter().map(|(_, c)| c).collect();
-                }
-            }
+            TreeNode::Op { op, children, .. } => (*op, std::mem::take(children)),
+        };
+        let mut keyed: Vec<(String, usize)> = children
+            .iter()
+            .map(|&c| (self.canonical_key(c), c))
+            .collect();
+        if op.is_commutative() {
+            keyed.sort_unstable();
         }
+        let len = keyed.iter().map(|(k, _)| k.len()).sum::<usize>();
+        let mut key = String::with_capacity(len + op.name().len() + 2);
+        key.push('(');
+        key.push_str(op.name());
+        for (slot, (child_key, c)) in children.iter_mut().zip(keyed) {
+            key.push_str(&child_key);
+            *slot = c;
+        }
+        key.push(')');
+        if let TreeNode::Op { children: slot, .. } = &mut self.nodes[node] {
+            *slot = children;
+        }
+        key
     }
 
     /// Render the tree as a nested s-expression (for debugging and docs).
@@ -369,6 +402,22 @@ impl Tree {
             }
         }
     }
+}
+
+/// Append the structural key of a leaf: its buffer or parameter name, or a
+/// tag for its kind.
+fn push_leaf_key(leaf: &Leaf, out: &mut String) {
+    let tag = match leaf {
+        Leaf::Mem { .. } => "M",
+        Leaf::BufferRef { buffer, .. } => buffer.as_str(),
+        Leaf::SymbolicRef { buffer, .. } => buffer.as_str(),
+        Leaf::Const(_) | Leaf::ConstF(_) => "C",
+        Leaf::Param { name, .. } => name.as_str(),
+        Leaf::RecursiveRef { .. } => "R",
+    };
+    out.push('(');
+    out.push_str(tag);
+    out.push(')');
 }
 
 /// A comparison predicate attached to a computational tree (paper Fig. 5).
@@ -426,18 +475,23 @@ pub struct GuardedTree {
 
 impl GuardedTree {
     /// Cluster key: structure of the computation, predicates and output buffer.
+    ///
+    /// Each tree is rendered once, straight into the key. The keys
+    /// [`Tree::canonicalize`] built cannot stand in: they describe the
+    /// concrete tree, whose memory leaves all read `M`, while clusters group
+    /// abstract trees whose leaves name buffers and parameters.
     pub fn cluster_key(&self) -> String {
         let mut key = String::new();
         if let Leaf::BufferRef { buffer, .. } = &self.tree.output {
             key.push_str(buffer);
         }
         key.push('|');
-        key.push_str(&self.tree.structure_key());
+        self.tree.write_structure(&mut key);
         for p in &self.predicates {
             key.push('|');
-            key.push_str(&format!("{:?}", p.cmp));
-            key.push_str(&p.lhs.structure_key());
-            key.push_str(&p.rhs.structure_key());
+            write!(key, "{:?}", p.cmp).expect("writing to a String succeeds");
+            p.lhs.write_structure(&mut key);
+            p.rhs.write_structure(&mut key);
         }
         key
     }

@@ -1,15 +1,18 @@
 //! Property-based tests for the analysis primitives in `helium-core`:
 //! buffer structure reconstruction (paper §3.2), affine index recovery
-//! (paper §4.10), tree canonicalization (paper §4.7) and buffer layouts
-//! (paper §4.3).
+//! (paper §4.10), tree canonicalization (paper §4.7), buffer layouts
+//! (paper §4.3) and the per-byte shadow tables of the trace analyses
+//! (paper §4.5).
 
+use helium_core::extract::{Loc, Shadow, FP_SPACE, REG_SPACE};
 use helium_core::linalg::{access_rank, fit_affine, AffineFit};
 use helium_core::regions::{reconstruct, region_containing};
 use helium_core::trees::{Leaf, Tree, TreeNode, TreeOp};
 use helium_core::{BufferLayout, BufferRole};
 use helium_dbi::MemTraceEntry;
-use helium_machine::Width;
+use helium_machine::{ExternFn, Width};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Affine index recovery (paper §4.10)
@@ -516,6 +519,261 @@ proptest! {
         for &(x, y, z) in &[(0, 0, 0), (nx - 1, ny - 1, nz - 1), (nx / 2, ny / 2, nz / 2)] {
             let addr = base + z * sz + y * sy + x * sx;
             prop_assert_eq!(layout.index_of(addr), Some(vec![x as i64, y as i64, z as i64]));
+        }
+    }
+}
+
+/// A copy of the canonicalizer the lifter used before keys were built
+/// bottom-up: every commutative node re-renders each child's subtree and
+/// sorts `(key, node)` pairs. The memoized one must match it exactly.
+mod reference {
+    use helium_core::trees::{Leaf, Tree, TreeNode, TreeOp};
+
+    pub fn structure_of(tree: &Tree, node: usize, out: &mut String) {
+        match &tree.nodes[node] {
+            TreeNode::Leaf(l) => {
+                let tag = match l {
+                    Leaf::Mem { .. } => "M",
+                    Leaf::BufferRef { buffer, .. } => buffer.as_str(),
+                    Leaf::SymbolicRef { buffer, .. } => buffer.as_str(),
+                    Leaf::Const(_) | Leaf::ConstF(_) => "C",
+                    Leaf::Param { name, .. } => name.as_str(),
+                    Leaf::RecursiveRef { .. } => "R",
+                };
+                out.push('(');
+                out.push_str(tag);
+                out.push(')');
+            }
+            TreeNode::Op { op, children, .. } => {
+                out.push('(');
+                match op {
+                    TreeOp::Extern(e) => out.push_str(&e.to_string()),
+                    other => out.push_str(&format!("{other:?}")),
+                }
+                for &c in children {
+                    structure_of(tree, c, out);
+                }
+                out.push(')');
+            }
+        }
+    }
+
+    pub fn canonicalize(tree: &mut Tree, node: usize) {
+        if let TreeNode::Op { children, op, .. } = tree.nodes[node].clone() {
+            for &c in &children {
+                canonicalize(tree, c);
+            }
+            if op.is_commutative() && children.len() > 1 {
+                let mut keyed: Vec<(String, usize)> = children
+                    .iter()
+                    .map(|&c| {
+                        let mut s = String::new();
+                        structure_of(tree, c, &mut s);
+                        (s, c)
+                    })
+                    .collect();
+                keyed.sort();
+                if let TreeNode::Op { children, .. } = &mut tree.nodes[node] {
+                    *children = keyed.into_iter().map(|(_, c)| c).collect();
+                }
+            }
+        }
+    }
+}
+
+/// The shape of a random tree before it is laid out in an arena.
+#[derive(Debug, Clone)]
+enum Shape {
+    Leaf(Leaf),
+    /// An operation, its operands, and whether the operands are pushed into
+    /// the arena last to first (so node order and operand order disagree).
+    Op(TreeOp, Vec<Shape>, bool),
+}
+
+fn shape_leaf() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        (0u64..4).prop_map(|a| Leaf::Mem {
+            addr: 0x1000 + a,
+            width: 1,
+            value: 0
+        }),
+        (-3i64..3).prop_map(Leaf::Const),
+        (0u8..2).prop_map(|b| Leaf::BufferRef {
+            buffer: format!("input_{}", b + 1),
+            indices: vec![b as i64],
+        }),
+        (0u8..2).prop_map(|p| Leaf::Param {
+            name: format!("p_{p}"),
+            value: 0,
+            width: 4,
+            is_float: false,
+        }),
+        Just(Leaf::RecursiveRef {
+            buffer: "output_1".into()
+        }),
+    ]
+    .prop_map(Shape::Leaf)
+}
+
+fn shape() -> BoxedStrategy<Shape> {
+    let ops = prop::sample::select(vec![
+        TreeOp::Add,
+        TreeOp::Sub,
+        TreeOp::Mul,
+        TreeOp::And,
+        TreeOp::Or,
+        TreeOp::Xor,
+        TreeOp::Shr,
+        TreeOp::Sar,
+        TreeOp::Shl,
+        TreeOp::Neg,
+        TreeOp::Not,
+        TreeOp::Move,
+        TreeOp::SignExtend,
+        TreeOp::Downcast,
+        TreeOp::FAdd,
+        TreeOp::FSub,
+        TreeOp::FMul,
+        TreeOp::FDiv,
+        TreeOp::IntToFloat,
+        TreeOp::FloatToIntRound,
+        TreeOp::Extern(ExternFn::Sqrt),
+        TreeOp::Extern(ExternFn::Pow),
+        TreeOp::IndirectLoad,
+    ]);
+    shape_leaf().prop_recursive(4, 32, 3, move |inner| {
+        (
+            ops.clone(),
+            prop::collection::vec(inner, 1..4),
+            any::<bool>(),
+        )
+            .prop_map(|(op, children, rev)| Shape::Op(op, children, rev))
+    })
+}
+
+/// Lay `shape` out in `tree`, children before their parent, and return its
+/// node id.
+fn lay_out(tree: &mut Tree, shape: &Shape) -> usize {
+    match shape {
+        Shape::Leaf(l) => tree.push(TreeNode::Leaf(l.clone())),
+        Shape::Op(op, children, rev) => {
+            let mut ids: Vec<(usize, usize)> = Vec::new();
+            let order: Vec<usize> = if *rev {
+                (0..children.len()).rev().collect()
+            } else {
+                (0..children.len()).collect()
+            };
+            for i in order {
+                ids.push((i, lay_out(tree, &children[i])));
+            }
+            ids.sort();
+            tree.push(TreeNode::Op {
+                op: *op,
+                children: ids.into_iter().map(|(_, id)| id).collect(),
+                width: 4,
+            })
+        }
+    }
+}
+
+fn tree_of(shape: &Shape) -> Tree {
+    let mut tree = Tree {
+        nodes: Vec::new(),
+        root: 0,
+        output: Leaf::Const(0),
+        output_width: 4,
+    };
+    tree.root = lay_out(&mut tree, shape);
+    tree
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The memoized canonicalizer orders every node's children exactly as
+    /// the re-rendering one did, ties included, and yields the same key.
+    #[test]
+    fn memoized_canonicalization_matches_the_reference(shape in shape()) {
+        let mut fast = tree_of(&shape);
+        let mut slow = fast.clone();
+        fast.canonicalize();
+        let root = slow.root;
+        reference::canonicalize(&mut slow, root);
+        prop_assert_eq!(&fast.nodes, &slow.nodes);
+        let mut key = String::new();
+        reference::structure_of(&slow, root, &mut key);
+        prop_assert_eq!(fast.structure_key(), key);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shadow tables (paper §4.5)
+// ---------------------------------------------------------------------------
+
+/// A location in one of the address-space zones the shadow table treats
+/// differently: straddling a memory page boundary, at the top of memory
+/// (running into the register space, as byte addresses do), elsewhere in
+/// memory, in the register space and in the FP slots.
+fn zone_loc() -> impl Strategy<Value = Loc> {
+    (0u8..5, 0u64..64, 1u32..9).prop_map(|(zone, offset, width)| {
+        let (addr, room) = match zone {
+            0 => (0x0001_2ff8 + offset % 16, 8),
+            1 => (0xffff_fff8 + offset % 8, 8),
+            2 => (0x8000_0000 + offset * 3, 8),
+            3 => (REG_SPACE + offset, 64 - offset),
+            _ => (FP_SPACE + offset, 64 - offset),
+        };
+        Loc {
+            addr,
+            width: width.min(room as u32),
+        }
+    })
+}
+
+#[derive(Debug, Clone)]
+enum ShadowOp {
+    Set(Loc, u8),
+    Get(Loc, u32),
+    Max(Loc),
+}
+
+fn shadow_op() -> impl Strategy<Value = ShadowOp> {
+    prop_oneof![
+        (zone_loc(), any::<u8>()).prop_map(|(l, v)| ShadowOp::Set(l, v)),
+        (zone_loc(), 0u32..8).prop_map(|(l, i)| ShadowOp::Get(l, i)),
+        zone_loc().prop_map(ShadowOp::Max),
+    ]
+}
+
+proptest! {
+    /// Every read of a shadow table agrees with a byte-keyed map after any
+    /// sequence of writes.
+    #[test]
+    fn shadow_table_matches_a_byte_map(ops in prop::collection::vec(shadow_op(), 1..200)) {
+        let mut shadow: Shadow<u8> = Shadow::new();
+        let mut reference: BTreeMap<u64, u8> = BTreeMap::new();
+        let bytes = |l: &Loc| l.addr..l.addr + l.width as u64;
+        for op in &ops {
+            match op {
+                ShadowOp::Set(l, v) => {
+                    shadow.set(*l, *v);
+                    for b in bytes(l) {
+                        reference.insert(b, *v);
+                    }
+                }
+                ShadowOp::Get(l, i) => {
+                    let addr = l.addr + (*i % l.width) as u64;
+                    let want = reference.get(&addr).copied().unwrap_or(0);
+                    prop_assert_eq!(shadow.get(addr), want, "byte {:#x}", addr);
+                }
+                ShadowOp::Max(l) => {
+                    let want = bytes(l)
+                        .map(|b| reference.get(&b).copied().unwrap_or(0))
+                        .max()
+                        .unwrap_or(0);
+                    prop_assert_eq!(shadow.max(*l), want, "{:?}", l);
+                }
+            }
         }
     }
 }

@@ -15,7 +15,15 @@ fn lift_photoflow(
 ) -> (PhotoFlow, helium::core::LiftedStencil) {
     let image = PlanarImage::random(w, h, 1, 16, 0xC0FFEE);
     let app = PhotoFlow::new(filter, image);
-    let request = LiftRequest {
+    let lifted = Lifter::new()
+        .lift(app.program(), &request(&app), |with| app.fresh_cpu(with))
+        .expect("lifting succeeds");
+    (app, lifted)
+}
+
+/// What the lifter is told about a PhotoFlow run: its known rows.
+fn request(app: &PhotoFlow) -> LiftRequest {
+    LiftRequest {
         known_inputs: app
             .known_input_rows()
             .into_iter()
@@ -27,11 +35,7 @@ fn lift_photoflow(
             .map(KnownData::from_rows)
             .collect(),
         approx_data_size: app.approx_data_size(),
-    };
-    let lifted = Lifter::new()
-        .lift(app.program(), &request, |with| app.fresh_cpu(with))
-        .expect("lifting succeeds");
-    (app, lifted)
+    }
 }
 
 /// Realize every lifted output plane and compare against the legacy output.
@@ -157,4 +161,27 @@ fn lifted_threshold_handles_input_dependent_conditionals() {
         "threshold must lift to a select: {src}"
     );
     check_planes_match(&app, &lifted);
+}
+
+#[test]
+fn lift_phases_are_timed_within_the_lift() {
+    let app = PhotoFlow::new(
+        PhotoFilter::Blur,
+        PlanarImage::random(32, 17, 1, 16, 0xC0FFEE),
+    );
+    let request = request(&app);
+    let start = std::time::Instant::now();
+    let lifted = Lifter::new()
+        .lift(app.program(), &request, |with| app.fresh_cpu(with))
+        .expect("lifting succeeds");
+    let wall = start.elapsed();
+    let phases = lifted.stats.phases;
+    for (name, time) in phases.named() {
+        assert!(!time.is_zero(), "phase {name} was not timed");
+    }
+    assert!(
+        phases.total() <= wall,
+        "phases sum to {:?}, more than the lift's {wall:?}",
+        phases.total()
+    );
 }
