@@ -19,12 +19,19 @@
 //!    Integer stores try the `[i32; W]` family first and fall back to
 //!    `[i64; W/2]` when the 32-bit proofs fail, so wide-valued idioms (64-bit
 //!    histogram bins, unprovable shifts) still fuse at half throughput.
-//!    Only admissibility is family-specific (the builders `fuse`, `fuse64`,
-//!    `fuse_f32`, `fuse_f64`). Execution is one generic code path over a
-//!    `Lane` trait: one tap loader, one integer evaluator for `VOp`
-//!    programs, one float evaluator for `FOp` programs, one chunk store and
-//!    one tree-sum. The families differ only in the trait items: the lane
-//!    ramp, the byte codec, and f32's min/max through f64.
+//!    Admissibility is two walks, one integer walk (`fuse_int`) and one
+//!    float walk (`fuse_float`), each generic over its lane type; the only
+//!    family-specific part is a small rule trait. `IntFamily` says when a
+//!    value-sensitive op is proven exact (`proves`: an interval check on
+//!    i32 lanes, always on i64), which casts need a lane op and what a load
+//!    carries. `FloatFamily` says whether lanes round only at `cast<float>`
+//!    points (f32) or are the reference values everywhere (f64), and which
+//!    constants, integers and loads they hold exactly. Execution is one
+//!    generic code path over a `Lane` trait: one tap loader, one integer
+//!    evaluator for `VOp` programs, one float evaluator for `FOp` programs,
+//!    one chunk store and one tree-sum. The families differ only in the
+//!    trait items: the lane ramp, the byte codec, and f32's min/max through
+//!    f64.
 //!    The kernels evaluate fixed-width chunks with constant trip counts that
 //!    LLVM reliably turns into SIMD, loading taps as straight slices with
 //!    *no per-lane clamping* and storing whole chunks contiguously. Narrow
@@ -594,14 +601,16 @@ struct TapAccess {
 }
 
 /// One op of an integer fused kernel: a stack machine over `[C; W]` chunks
-/// with *wrapping* arithmetic, where `C` is the lane type's constant carrier
-/// (`i32` for the narrow family, `i64` for the wide one).
+/// with *wrapping* arithmetic, where `C` is the lane type (`i32` for the
+/// narrow family, `i64` for the wide one).
 ///
 /// For `[i32; W]` kernels compilation maintains the invariant that every
 /// value on the stack holds the low 32 bits of the reference `i64` value;
 /// value-sensitive ops are only emitted when interval analysis proved their
 /// 32-bit result exact (see the module docs). For `[i64; W/2]` kernels the
 /// lanes *are* the reference values and every op is exact by construction.
+/// Both are emitted by the one integer walk; the difference is the
+/// family's [`IntFamily`] rule.
 #[derive(Debug, Clone, PartialEq)]
 enum VOp<C = i32> {
     /// Push a broadcast constant (for i32 lanes: the low 32 bits of the i64
@@ -670,6 +679,9 @@ enum VOp<C = i32> {
 /// For `C = f64` (`[f64; W/2]` lanes) no discipline is needed: the reference
 /// evaluator carries floats as `f64`, so the lanes ARE the reference values
 /// and every op is exact by construction.
+///
+/// Both are emitted by the one float walk; the difference is the family's
+/// [`FloatFamily`] rule.
 #[derive(Debug, Clone, PartialEq)]
 enum FOp<C> {
     /// Push a broadcast constant (proven lane-exact at compile time).
@@ -1283,7 +1295,7 @@ impl<Op> VEmit<Op> {
 
     /// Register a tap access, deduplicating identical ones.
     fn tap(&mut self, tap: TapAccess) -> usize {
-        match emitted_tap(&self.taps, &tap) {
+        match self.taps.iter().position(|t| *t == tap) {
             Some(i) => i,
             None => {
                 self.taps.push(tap);
@@ -1309,13 +1321,11 @@ struct FusedBuilder<'a> {
 }
 
 impl FusedBuilder<'_> {
-    /// Family selection: narrow integer outputs try the proven `[i32; W]`
-    /// family first (twice the lanes per register) and fall back to the
-    /// proof-free `[i64; W/2]` family; `UInt64` outputs go straight to i64
-    /// lanes; `Float32` outputs use the `[f32; W]` family. `self_alias` is
-    /// the name-level check ([`value_reads_buffer`]) computed by the caller —
-    /// a self-aliasing store must not fuse at all (chunked evaluation would
-    /// read lanes written earlier in the same row).
+    /// Compile a pure store onto the lane family [`Self::build_family`]
+    /// selects for its output type. `self_alias` is the name-level check
+    /// ([`value_reads_buffer`]) computed by the caller — a self-aliasing
+    /// store must not fuse at all (chunked evaluation would read lanes
+    /// written earlier in the same row).
     fn build(&self, indices: &[Expr], value: &Expr, self_alias: bool) -> Option<FusedKernel> {
         if self_alias {
             return None;
@@ -1326,18 +1336,7 @@ impl FusedBuilder<'_> {
         if out_lane != Some(TapLane::Contiguous) {
             return None;
         }
-        let built = match out_ty {
-            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => {
-                self.build_i32(value).or_else(|| self.build_i64(value))
-            }
-            ScalarType::UInt64 => self.build_i64(value),
-            ScalarType::Float32 => self.build_f32(value),
-            // Float64 values are the reference representation itself, so the
-            // `[f64; W/2]` family is exact by construction (no rounding
-            // discipline needed — every FOp mirrors the reference op).
-            ScalarType::Float64 => self.build_f64(value),
-        };
-        let (prog, taps) = built?;
+        let (prog, taps) = self.build_family(out_ty, value)?;
         // A tap aliasing the output would read lanes the kernel just wrote
         // (slot-level check; `self_alias` already covered the name level).
         if taps.iter().any(|t| t.slot == self.out_slot) {
@@ -1393,18 +1392,14 @@ impl FusedBuilder<'_> {
             return None;
         }
         let out_ty = self.decls[self.out_slot].ty;
-        // Family selection mirrors pure stores: ≤ 32-bit accumulators may
+        // Family selection is that of pure stores: ≤ 32-bit accumulators may
         // ride i32 lanes (sums mod 2^32 cover every k ≤ 32), UInt64 needs
-        // exact i64 lanes, floats never fuse (f32 addition is not
+        // exact i64 lanes, floats never fuse (float addition is not
         // associative, so a tree-reduce would not be bit-exact).
-        let built = match out_ty {
-            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => {
-                self.build_i32(g).or_else(|| self.build_i64(g))
-            }
-            ScalarType::UInt64 => self.build_i64(g),
-            ScalarType::Float32 | ScalarType::Float64 => None,
-        };
-        let (prog, taps) = built?;
+        if out_ty.is_float() {
+            return None;
+        }
+        let (prog, taps) = self.build_family(out_ty, g)?;
         // `g` must not read the accumulator: its chunks are evaluated before
         // the (single) store, so a read of `F` would observe a stale value
         // the reference path refreshes per element.
@@ -1421,44 +1416,42 @@ impl FusedBuilder<'_> {
         })
     }
 
-    fn build_i32(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
+    /// Family selection, shared by pure and reduce stores: narrow integer
+    /// outputs try the proven `[i32; W]` family first (twice the lanes per
+    /// register) and fall back to the proof-free `[i64; W/2]` family;
+    /// `UInt64` outputs go straight to i64 lanes; float outputs use the
+    /// float family of their own width.
+    fn build_family(&self, ty: ScalarType, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
+        match ty {
+            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => self
+                .build_int::<i32>(value)
+                .or_else(|| self.build_int::<i64>(value)),
+            ScalarType::UInt64 => self.build_int::<i64>(value),
+            ScalarType::Float32 => self.build_float::<f32>(value),
+            ScalarType::Float64 => self.build_float::<f64>(value),
+        }
+    }
+
+    fn build_int<C: IntFamily>(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
         let mut emit = VEmit::new();
-        self.fuse(value, &mut emit)?;
+        self.fuse_int(value, &mut emit)?;
         if emit.max > V_STACK {
             return None;
         }
         peephole(&mut emit.ops);
-        Some((LaneProgram::I32(emit.ops), emit.taps))
+        Some((C::program(emit.ops), emit.taps))
     }
 
-    fn build_i64(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
+    fn build_float<L: FloatFamily>(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
         let mut emit = VEmit::new();
-        self.fuse64(value, &mut emit)?;
+        // The store narrows the value exactly like a `cast<float>` (or, on
+        // `Float64`, stores the reference value itself), so the top level is
+        // a rounding point.
+        self.fuse_float(value, true, &mut emit)?;
         if emit.max > V_STACK {
             return None;
         }
-        peephole(&mut emit.ops);
-        Some((LaneProgram::I64(emit.ops), emit.taps))
-    }
-
-    fn build_f32(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
-        let mut emit = VEmit::new();
-        // The `Float32` store narrows the value exactly like a `cast<float>`,
-        // so the top level is itself a rounding point.
-        self.fuse_f32_rounding(value, &mut emit)?;
-        if emit.max > V_STACK {
-            return None;
-        }
-        Some((LaneProgram::F32(emit.ops), emit.taps))
-    }
-
-    fn build_f64(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
-        let mut emit = VEmit::new();
-        self.fuse_f64(value, &mut emit)?;
-        if emit.max > V_STACK {
-            return None;
-        }
-        Some((LaneProgram::F64(emit.ops), emit.taps))
+        Some((L::program(emit.ops), emit.taps))
     }
 
     /// Decompose an access's index expressions into per-dimension affine
@@ -1496,219 +1489,189 @@ impl FusedBuilder<'_> {
         Some((dims, lane))
     }
 
-    /// Classify and decompose a tap access.
-    fn tap_dims(&self, args: &[Expr]) -> Option<(Vec<DepthAffine>, TapLane)> {
+    /// Register the load `name(args)` as a tap of `out`, returning the tap
+    /// index and the loaded element type. `None` for strided or transposed
+    /// accesses.
+    fn tap<Op>(
+        &self,
+        name: &str,
+        args: &[Expr],
+        out: &mut VEmit<Op>,
+    ) -> Option<(usize, ScalarType)> {
+        let slot = *self.slot_ids.get(name)?;
+        let ty = self.decls[slot].ty;
         let (dims, lane) = self.access_dims(args)?;
-        lane.map(|lane| (dims, lane))
+        let lane = lane?;
+        let tap = TapAccess {
+            slot,
+            ty,
+            dims,
+            lane,
+        };
+        Some((out.tap(tap), ty))
     }
 
-    /// Compile `e`, pushing ops that leave its lanes on the stack, and return
-    /// a sound interval of the reference `i64` value. `None` aborts fusion.
-    fn fuse(&self, e: &Expr, out: &mut VEmit<VOp<i32>>) -> Option<Interval> {
+    /// Compile `e` onto `C` lanes, pushing ops that leave its lanes on the
+    /// stack, and return a sound interval of the reference `i64` value.
+    /// Wrapping and bitwise ops are exact on any lane width; every
+    /// value-sensitive op asks the family's rule ([`IntFamily::proves`])
+    /// whether its lanes are exact for it. `None` aborts fusion.
+    fn fuse_int<C: IntFamily>(&self, e: &Expr, out: &mut VEmit<VOp<C>>) -> Option<Interval> {
         match e {
-            Expr::ConstInt(v, ty) if !ty.is_float() => {
-                out.push(VOp::Const(*v as i32), 1);
-                Some(Interval::point(*v))
+            Expr::ConstInt(..) | Expr::Param(..) => {
+                let v = const_int_of(e, self.params)?;
+                out.push(VOp::Const(C::from_i64(v)), 1);
+                Some(Interval::point(v))
             }
-            Expr::ConstInt(..) | Expr::ConstFloat(..) | Expr::Call(..) => None,
-            Expr::Param(name, _) => match self.params.get(name) {
-                Some(Value::Int(v)) => {
-                    out.push(VOp::Const(*v as i32), 1);
-                    Some(Interval::point(*v))
-                }
-                _ => None,
-            },
+            Expr::ConstFloat(..) | Expr::Call(..) => None,
             Expr::Var(name) | Expr::RVar(name) => {
                 let depth = *self.var_depths.get(name)?;
                 let iv = *self.var_bounds.get(name)?;
-                // Lane ramps compute `x + l` in i32.
-                if !iv.within(Interval::i32_range()) {
+                // Lane ramps compute `x + l` in 32 bits on i32 lanes.
+                if !C::proves(iv, Interval::i32_range()) {
                     return None;
                 }
                 out.push(VOp::Var(depth), 1);
                 Some(iv)
             }
             Expr::Cast(ty, inner) => {
-                let iv = self.fuse(inner, out)?;
-                match ty {
-                    // Identity on the i64 value.
-                    ScalarType::UInt64 => Some(iv),
-                    // Reinterpretations of the low 32 bits: no lane op, only
-                    // the interval changes.
-                    ScalarType::UInt32 => Some(if iv.within(Interval::u32_range()) {
-                        iv
-                    } else {
-                        Interval::u32_range()
-                    }),
-                    ScalarType::Int32 => Some(if iv.within(Interval::i32_range()) {
-                        iv
-                    } else {
-                        Interval::i32_range()
-                    }),
-                    ScalarType::UInt16 | ScalarType::UInt8 => {
-                        let mask = if *ty == ScalarType::UInt8 {
-                            0xff
-                        } else {
-                            0xffff
-                        };
-                        if iv.within(Interval { min: 0, max: mask }) {
-                            Some(iv)
-                        } else {
-                            out.push(VOp::Mask(mask as i32), 0);
-                            Some(Interval { min: 0, max: mask })
-                        }
-                    }
-                    ScalarType::Float32 | ScalarType::Float64 => None,
-                }
-            }
-            Expr::Binary(op, a, b) => self.fuse_binary(*op, a, b, out),
-            Expr::Cmp(op, a, b) => {
-                let ia = self.fuse(a, out)?;
-                let ib = self.fuse(b, out)?;
-                if ia.within(Interval::i32_range()) && ib.within(Interval::i32_range()) {
-                    out.push(VOp::CmpS(*op), -1);
-                } else if ia.within(Interval::u32_range()) && ib.within(Interval::u32_range()) {
-                    out.push(VOp::CmpU(*op), -1);
-                } else {
+                let iv = self.fuse_int(inner, out)?;
+                if ty.is_float() {
                     return None;
                 }
+                C::cast(*ty, iv, out);
+                // A narrowing cast wraps into its type's range.
+                Some(match Interval::of_type(*ty) {
+                    Some(range) if !iv.within(range) => range,
+                    _ => iv,
+                })
+            }
+            Expr::Binary(op, a, b) => self.fuse_int_binary(*op, a, b, out),
+            Expr::Cmp(op, a, b) => {
+                let ia = self.fuse_int(a, out)?;
+                let ib = self.fuse_int(b, out)?;
+                let signed = signed_order::<C>(ia, ib)?;
+                out.push(
+                    if signed {
+                        VOp::CmpS(*op)
+                    } else {
+                        VOp::CmpU(*op)
+                    },
+                    -1,
+                );
                 Some(Interval { min: 0, max: 1 })
             }
             Expr::Select(c, t, f) => {
-                let ic = self.fuse(c, out)?;
+                let ic = self.fuse_int(c, out)?;
                 // The truth test is on lanes; sound iff zero-faithful, i.e.
-                // the value is within [i32::MIN, u32::MAX] so value == 0
-                // exactly when its low 32 bits are 0.
-                if !ic.within(Interval {
-                    min: i32::MIN as i64,
-                    max: u32::MAX as i64,
-                }) {
+                // the value is 0 exactly when its lanes are (on i32 lanes:
+                // within [i32::MIN, u32::MAX]).
+                if !C::proves(ic, Interval::new(i32::MIN as i64, u32::MAX as i64)) {
                     return None;
                 }
-                let it = self.fuse(t, out)?;
-                let if_ = self.fuse(f, out)?;
+                let it = self.fuse_int(t, out)?;
+                let if_ = self.fuse_int(f, out)?;
                 out.push(VOp::Sel, -2);
                 Some(it.union(if_))
             }
             Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                let iv = Interval::of_type(ty)?;
-                let (dims, lane) = self.tap_dims(args)?;
-                let tap = TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                };
-                let idx = out.tap(tap);
+                let (idx, ty) = self.tap(name, args, out)?;
                 out.push(VOp::Load(idx), 1);
-                Some(iv)
+                C::load_range(ty)
             }
         }
     }
 
-    fn fuse_binary(
+    fn fuse_int_binary<C: IntFamily>(
         &self,
         op: BinOp,
         a: &Expr,
         b: &Expr,
-        out: &mut VEmit<VOp<i32>>,
+        out: &mut VEmit<VOp<C>>,
     ) -> Option<Interval> {
         match op {
-            // Quotient/remainder lanes would need exact i64 semantics
-            // (including divide-by-zero and i32::MIN edge cases) — rare in
+            // Quotient/remainder lanes would have to replicate the
+            // divide-by-zero and `MIN / -1` edge cases per lane — rare in
             // stencils; keep them on the per-op tier.
             BinOp::Div | BinOp::Mod => None,
-            BinOp::Shr => {
+            BinOp::Shr | BinOp::Shl => {
                 let s_raw = const_int_of(b, self.params)?;
-                let s = (s_raw as u64 & 63) as u32;
-                let ia = self.fuse(a, out)?;
-                // The i64 shift is logical; it agrees with a 32-bit unsigned
-                // shift only for operands within [0, 2^32).
-                if !ia.within(Interval::u32_range()) {
-                    return None;
-                }
-                if s == 0 {
-                    Some(ia)
-                } else if s >= 32 {
-                    out.push(VOp::Mask(0), 0);
-                    Some(Interval::point(0))
-                } else {
-                    out.push(VOp::ShrU(s), 0);
-                    Some(Interval {
-                        min: ia.min >> s,
-                        max: ia.max >> s,
-                    })
-                }
-            }
-            BinOp::Shl => {
-                let s_raw = const_int_of(b, self.params)?;
-                // eval_binop: `wrapping_shl(y as u32)`, which masks by 63.
-                let s = (s_raw as u32) & 63;
-                let ia = self.fuse(a, out)?;
-                let iv = combine(BinOp::Shl, ia, Interval::point(s_raw));
-                if s < 32 {
-                    if s > 0 {
-                        out.push(VOp::Shl(s), 0);
+                // eval_binop masks the count by 63.
+                let s = (s_raw & 63) as u32;
+                let ia = self.fuse_int(a, out)?;
+                let iv = if op == BinOp::Shr {
+                    // The i64 shift is logical: lanes agree with it only on
+                    // values they hold unsigned (on i32 lanes: [0, 2^32)).
+                    if !C::proves(ia, Interval::u32_range()) {
+                        return None;
                     }
+                    combine(op, ia, Interval::point(s as i64))
                 } else {
-                    // The low 32 bits of `v << s` are zero for s >= 32.
-                    out.push(VOp::Mask(0), 0);
+                    combine(op, ia, Interval::point(s_raw))
+                };
+                if s >= C::BITS {
+                    // Every lane bit is shifted out.
+                    out.push(VOp::Mask(C::default()), 0);
+                } else if s > 0 {
+                    out.push(
+                        if op == BinOp::Shr {
+                            VOp::ShrU(s)
+                        } else {
+                            VOp::Shl(s)
+                        },
+                        0,
+                    );
                 }
                 Some(iv)
             }
             BinOp::Min | BinOp::Max => {
-                let ia = self.fuse(a, out)?;
-                let ib = self.fuse(b, out)?;
-                let signed = ia.within(Interval::i32_range()) && ib.within(Interval::i32_range());
-                let unsigned = ia.within(Interval::u32_range()) && ib.within(Interval::u32_range());
-                let vop = match (op, signed, unsigned) {
-                    (BinOp::Min, true, _) => VOp::MinS,
-                    (BinOp::Max, true, _) => VOp::MaxS,
-                    (BinOp::Min, false, true) => VOp::MinU,
-                    (BinOp::Max, false, true) => VOp::MaxU,
-                    _ => return None,
+                let ia = self.fuse_int(a, out)?;
+                let ib = self.fuse_int(b, out)?;
+                let vop = match (op, signed_order::<C>(ia, ib)?) {
+                    (BinOp::Min, true) => VOp::MinS,
+                    (BinOp::Max, true) => VOp::MaxS,
+                    (BinOp::Min, false) => VOp::MinU,
+                    _ => VOp::MaxU,
                 };
                 out.push(vop, -1);
                 Some(combine(op, ia, ib))
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor => {
-                // Wrapping/bitwise ops are homomorphic in the low 32 bits, so
-                // they are emitted unconditionally; the interval (saturating
-                // to "everything" on potential i64 wrap) is what downstream
-                // value-sensitive ops validate against.
+                // Wrapping/bitwise ops are homomorphic in the low lane bits,
+                // so they are emitted unconditionally; the interval
+                // (saturating to "everything" on potential i64 wrap) is what
+                // downstream value-sensitive ops validate against.
                 let ka = const_int_of(a, self.params);
                 let kb = const_int_of(b, self.params);
                 let commutes = matches!(
                     op,
                     BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
                 );
-                let fold = |k: i64, o: &mut VEmit<VOp<i32>>| match op {
-                    BinOp::Add => o.push(VOp::AddC(k as i32), 0),
-                    BinOp::Sub => o.push(VOp::AddC((k.wrapping_neg()) as i32), 0),
-                    BinOp::Mul => o.push(VOp::MulC(k as i32), 0),
-                    BinOp::And => o.push(VOp::AndC(k as i32), 0),
-                    BinOp::Or => o.push(VOp::OrC(k as i32), 0),
-                    BinOp::Xor => o.push(VOp::XorC(k as i32), 0),
+                let fold = |k: i64, o: &mut VEmit<VOp<C>>| match op {
+                    BinOp::Add => o.push(VOp::AddC(C::from_i64(k)), 0),
+                    BinOp::Sub => o.push(VOp::AddC(C::from_i64(k.wrapping_neg())), 0),
+                    BinOp::Mul => o.push(VOp::MulC(C::from_i64(k)), 0),
+                    BinOp::And => o.push(VOp::AndC(C::from_i64(k)), 0),
+                    BinOp::Or => o.push(VOp::OrC(C::from_i64(k)), 0),
+                    BinOp::Xor => o.push(VOp::XorC(C::from_i64(k)), 0),
                     _ => unreachable!("folded ops are wrapping/bitwise"),
                 };
                 if let Some(k) = kb {
-                    let ia = self.fuse(a, out)?;
+                    let ia = self.fuse_int(a, out)?;
                     if !(k == 0 && matches!(op, BinOp::Add | BinOp::Sub)) {
                         fold(k, out);
                     }
                     return Some(combine(op, ia, Interval::point(k)));
                 }
                 if let (Some(k), true) = (ka, commutes) {
-                    let ib = self.fuse(b, out)?;
+                    let ib = self.fuse_int(b, out)?;
                     if !(k == 0 && op == BinOp::Add) {
                         fold(k, out);
                     }
                     return Some(combine(op, Interval::point(k), ib));
                 }
-                let ia = self.fuse(a, out)?;
-                let ib = self.fuse(b, out)?;
+                let ia = self.fuse_int(a, out)?;
+                let ib = self.fuse_int(b, out)?;
                 let vop = match op {
                     BinOp::Add => VOp::Add,
                     BinOp::Sub => VOp::Sub,
@@ -1724,225 +1687,45 @@ impl FusedBuilder<'_> {
         }
     }
 
-    // -- The `[i64; W/2]` family: lanes are the reference `i64` value -------
-
-    /// Compile `e` onto i64 lanes. Unlike [`Self::fuse`] there is no interval
-    /// bookkeeping: every emitted op replicates the [`eval_binop`] /
-    /// [`eval_cmp`] / [`Value::cast`] integer semantics verbatim on the full
-    /// 64-bit value, so exactness holds by construction and `None` only means
-    /// "shape not expressible" (float operands, non-constant shift counts,
-    /// division), never "unprovable".
-    fn fuse64(&self, e: &Expr, out: &mut VEmit<VOp<i64>>) -> Option<()> {
-        match e {
-            Expr::ConstInt(v, ty) if !ty.is_float() => {
-                out.push(VOp::Const(*v), 1);
-                Some(())
-            }
-            Expr::ConstInt(..) | Expr::ConstFloat(..) | Expr::Call(..) => None,
-            Expr::Param(name, _) => match self.params.get(name) {
-                Some(Value::Int(v)) => {
-                    out.push(VOp::Const(*v), 1);
-                    Some(())
-                }
-                _ => None,
-            },
-            Expr::Var(name) | Expr::RVar(name) => {
-                let depth = *self.var_depths.get(name)?;
-                out.push(VOp::Var(depth), 1);
-                Some(())
-            }
-            Expr::Cast(ty, inner) => {
-                self.fuse64(inner, out)?;
-                match ty {
-                    // Value::cast keeps the i64 bits for UInt64.
-                    ScalarType::UInt64 => {}
-                    ScalarType::UInt8 => out.push(VOp::Mask(0xff), 0),
-                    ScalarType::UInt16 => out.push(VOp::Mask(0xffff), 0),
-                    ScalarType::UInt32 => out.push(VOp::Mask(0xffff_ffff), 0),
-                    ScalarType::Int32 => out.push(VOp::Sext32, 0),
-                    ScalarType::Float32 | ScalarType::Float64 => return None,
-                }
-                Some(())
-            }
-            Expr::Binary(op, a, b) => self.fuse64_binary(*op, a, b, out),
-            Expr::Cmp(op, a, b) => {
-                // eval_cmp's integer branch compares signed i64 regardless of
-                // the operands' nominal unsigned types.
-                self.fuse64(a, out)?;
-                self.fuse64(b, out)?;
-                out.push(VOp::CmpS(*op), -1);
-                Some(())
-            }
-            Expr::Select(c, t, f) => {
-                // Lanes hold the exact value, so `lane != 0` is Value::is_true
-                // with no zero-faithfulness caveat.
-                self.fuse64(c, out)?;
-                self.fuse64(t, out)?;
-                self.fuse64(f, out)?;
-                out.push(VOp::Sel, -2);
-                Some(())
-            }
-            Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                if ty.is_float() {
-                    return None;
-                }
-                let (dims, lane) = self.tap_dims(args)?;
-                let idx = out.tap(TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                });
-                out.push(VOp::Load(idx), 1);
-                Some(())
-            }
-        }
-    }
-
-    fn fuse64_binary(
+    /// Compile `e` onto `L` lanes under the invariant that the lanes hold
+    /// the reference `f64` value of `e` bit-exactly, for every input.
+    /// `rounding` says the caller rounds that value to the lane type (an
+    /// enclosing `cast<float>` or the store): there — and only there —
+    /// arithmetic may be emitted, because one lane rounding of exact
+    /// operands equals the reference's f64 op followed by the rounding (for
+    /// f32: 53 ≥ 2·24 + 2 significant bits, so the double rounding is
+    /// innocuous for +, −, ×, ÷ and sqrt). Lanes that never round (f64) are
+    /// in a rounding context everywhere. Returns the expression's reference
+    /// kind: integer leaves stay `Kind::Int` (carried as exact lanes), and
+    /// all-integer arithmetic, which the reference evaluates on wrapping
+    /// `i64`, is left to the integer families.
+    fn fuse_float<L: FloatFamily>(
         &self,
-        op: BinOp,
-        a: &Expr,
-        b: &Expr,
-        out: &mut VEmit<VOp<i64>>,
-    ) -> Option<()> {
-        match op {
-            // Quotient/remainder lanes would have to replicate the
-            // divide-by-zero and i64::MIN / -1 edge cases per lane — rare in
-            // stencils; keep them on the per-op tier (as the i32 family does).
-            BinOp::Div | BinOp::Mod => None,
-            BinOp::Shr => {
-                // eval_binop: `(x as u64) >> (y as u64 & 63)` — exactly ShrU.
-                let s = (const_int_of(b, self.params)? as u64 & 63) as u32;
-                self.fuse64(a, out)?;
-                if s > 0 {
-                    out.push(VOp::ShrU(s), 0);
-                }
-                Some(())
-            }
-            BinOp::Shl => {
-                // eval_binop: `wrapping_shl(y as u32)`, which masks by 63.
-                let s = (const_int_of(b, self.params)? as u32) & 63;
-                self.fuse64(a, out)?;
-                if s > 0 {
-                    out.push(VOp::Shl(s), 0);
-                }
-                Some(())
-            }
-            BinOp::Min | BinOp::Max => {
-                // eval_binop's integer branch is signed i64 min/max.
-                self.fuse64(a, out)?;
-                self.fuse64(b, out)?;
-                out.push(
-                    if op == BinOp::Min {
-                        VOp::MinS
-                    } else {
-                        VOp::MaxS
-                    },
-                    -1,
-                );
-                Some(())
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor => {
-                let ka = const_int_of(a, self.params);
-                let kb = const_int_of(b, self.params);
-                let commutes = matches!(
-                    op,
-                    BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-                );
-                let fold = |k: i64, o: &mut VEmit<VOp<i64>>| match op {
-                    BinOp::Add => o.push(VOp::AddC(k), 0),
-                    BinOp::Sub => o.push(VOp::AddC(k.wrapping_neg()), 0),
-                    BinOp::Mul => o.push(VOp::MulC(k), 0),
-                    BinOp::And => o.push(VOp::AndC(k), 0),
-                    BinOp::Or => o.push(VOp::OrC(k), 0),
-                    BinOp::Xor => o.push(VOp::XorC(k), 0),
-                    _ => unreachable!("folded ops are wrapping/bitwise"),
-                };
-                if let Some(k) = kb {
-                    self.fuse64(a, out)?;
-                    if !(k == 0 && matches!(op, BinOp::Add | BinOp::Sub)) {
-                        fold(k, out);
-                    }
-                    return Some(());
-                }
-                if let (Some(k), true) = (ka, commutes) {
-                    self.fuse64(b, out)?;
-                    if !(k == 0 && op == BinOp::Add) {
-                        fold(k, out);
-                    }
-                    return Some(());
-                }
-                self.fuse64(a, out)?;
-                self.fuse64(b, out)?;
-                let vop = match op {
-                    BinOp::Add => VOp::Add,
-                    BinOp::Sub => VOp::Sub,
-                    BinOp::Mul => VOp::Mul,
-                    BinOp::And => VOp::And,
-                    BinOp::Or => VOp::Or,
-                    BinOp::Xor => VOp::Xor,
+        e: &Expr,
+        rounding: bool,
+        out: &mut VEmit<FOp<L>>,
+    ) -> Option<Kind> {
+        let rounding = rounding || !L::ROUNDS_AT_CASTS;
+        match e {
+            Expr::ConstInt(..) | Expr::ConstFloat(..) | Expr::Param(..) => {
+                let v = match e {
+                    Expr::ConstInt(v, ty) if ty.is_float() => Value::Float(*v as f64),
+                    Expr::ConstInt(v, _) => Value::Int(*v),
+                    Expr::ConstFloat(v, _) => Value::Float(*v),
+                    Expr::Param(name, _) => *self.params.get(name)?,
                     _ => unreachable!("matched above"),
                 };
-                out.push(vop, -1);
-                Some(())
+                let (lane, kind) = match v {
+                    Value::Int(v) if L::exact_ints().contains(v) => (L::from_i64(v), Kind::Int),
+                    Value::Int(_) => return None,
+                    Value::Float(f) => (L::exact(f)?, Kind::Float),
+                };
+                out.push(FOp::Const(lane), 1);
+                Some(kind)
             }
-        }
-    }
-
-    // -- The `[f32; W]` family: rounding-point discipline -------------------
-
-    /// Compile `e` onto f32 lanes under the invariant that the reference
-    /// `f64` value of `e` is bit-exactly representable in `f32` for every
-    /// input, and the lanes hold it. Returns the expression's reference kind
-    /// (integer leaves stay `Kind::Int` — carried as exact f32 lanes — which
-    /// [`Self::fuse_f32_rounding`] uses to reject all-integer arithmetic the
-    /// reference would evaluate on i64).
-    fn fuse_f32(&self, e: &Expr, out: &mut VEmit<FOp<f32>>) -> Option<Kind> {
-        match e {
-            Expr::ConstFloat(v, _) => {
-                if !f64_is_f32_exact(*v) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f32), 1);
-                Some(Kind::Float)
-            }
-            Expr::ConstInt(v, ty) if ty.is_float() => {
-                if !f64_is_f32_exact(*v as f64) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f64 as f32), 1);
-                Some(Kind::Float)
-            }
-            Expr::ConstInt(v, _) => {
-                if !Interval::f32_exact_int_range().contains(*v) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f32), 1);
-                Some(Kind::Int)
-            }
-            Expr::Param(name, _) => match self.params.get(name)? {
-                Value::Int(v) => {
-                    if !Interval::f32_exact_int_range().contains(*v) {
-                        return None;
-                    }
-                    out.push(FOp::Const(*v as f32), 1);
-                    Some(Kind::Int)
-                }
-                Value::Float(f) => {
-                    if !f64_is_f32_exact(*f) {
-                        return None;
-                    }
-                    out.push(FOp::Const(*f as f32), 1);
-                    Some(Kind::Float)
-                }
-            },
             Expr::Var(name) | Expr::RVar(name) => {
                 let depth = *self.var_depths.get(name)?;
-                let iv = *self.var_bounds.get(name)?;
-                if !iv.within(Interval::f32_exact_int_range()) {
+                if !self.var_bounds.get(name)?.within(L::exact_ints()) {
                     return None;
                 }
                 out.push(FOp::Var(depth), 1);
@@ -1950,205 +1733,34 @@ impl FusedBuilder<'_> {
             }
             // The explicit rounding point: exactly where lifted
             // single-precision code rounds after every SSE instruction.
-            Expr::Cast(ScalarType::Float32, inner) => {
-                self.fuse_f32_rounding(inner, out)?;
+            Expr::Cast(ScalarType::Float32, inner) if L::ROUNDS_AT_CASTS => {
+                self.fuse_float(inner, true, out)?;
                 Some(Kind::Float)
             }
-            // Widening an exact-f32 (or exactly promoted integer) value is
+            // Widening an exact value (or exactly promoting an integer) is
             // the identity on the carried lanes.
             Expr::Cast(ScalarType::Float64, inner) => {
-                self.fuse_f32(inner, out)?;
+                self.fuse_float(inner, false, out)?;
                 Some(Kind::Float)
             }
-            // Integer casts leave the float-exact domain.
-            Expr::Cast(..) => None,
-            Expr::Binary(op @ (BinOp::Min | BinOp::Max), a, b) => {
-                let ka = self.fuse_f32(a, out)?;
-                let kb = self.fuse_f32(b, out)?;
-                if ka == Kind::Int && kb == Kind::Int {
-                    // The reference would take the i64 min/max; stay safe and
-                    // leave all-integer shapes to the integer families.
-                    return None;
-                }
-                // Selection of one exact operand: exact without a rounding
-                // point (evaluated in f64 per lane to match eval_binop on
-                // NaN and ±0.0).
-                out.push(
-                    if *op == BinOp::Min {
-                        FOp::Min
-                    } else {
-                        FOp::Max
-                    },
-                    -1,
-                );
-                Some(Kind::Float)
-            }
-            // Arithmetic without an enclosing rounding point would make the
-            // lanes diverge from the f64 reference value.
-            Expr::Binary(..) => None,
-            Expr::Cmp(op, a, b) => {
-                // Comparison of exact values is order-preserving across
-                // widths (NaN unordered in both), and the 0/1 result is
-                // f32-exact.
-                self.fuse_f32(a, out)?;
-                self.fuse_f32(b, out)?;
-                out.push(FOp::Cmp(*op), -1);
-                Some(Kind::Int)
-            }
-            Expr::Select(c, t, f) => {
-                self.fuse_f32(c, out)?;
-                let kt = self.fuse_f32(t, out)?;
-                let kf = self.fuse_f32(f, out)?;
-                if kt != kf {
-                    // Mirror the typed tier, which falls back on dynamically
-                    // typed selects.
-                    return None;
-                }
-                out.push(FOp::Sel, -2);
-                Some(kt)
-            }
-            // Extern calls round at f64; only sqrt under a rounding point is
-            // exact (handled by fuse_f32_rounding).
-            Expr::Call(..) => None,
-            Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                // Float32 loads are exact by definition; narrow integer loads
-                // (u8/u16) promote to f32 without loss.
-                let kind = match ty {
-                    ScalarType::Float32 => Kind::Float,
-                    _ => {
-                        let iv = Interval::of_type(ty)?;
-                        if !iv.within(Interval::f32_exact_int_range()) {
-                            return None;
-                        }
-                        Kind::Int
-                    }
-                };
-                let (dims, lane) = self.tap_dims(args)?;
-                let idx = out.tap(TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                });
-                out.push(FOp::Load(idx), 1);
-                Some(kind)
-            }
-        }
-    }
-
-    /// Compile `e` in a *rounding context*: the caller (a `cast<float>` or
-    /// the `Float32` store itself) rounds the reference `f64` value to `f32`.
-    /// Here — and only here — f32 arithmetic may be emitted: one f32 rounding
-    /// of bit-exact operands equals the reference's f64 op followed by the
-    /// cast for +, −, ×, ÷ and sqrt (f64's 53 significant bits ≥ 2·24 + 2,
-    /// so the double rounding is innocuous). Anything already exact passes
-    /// through [`Self::fuse_f32`]; the rounding is then the identity.
-    fn fuse_f32_rounding(&self, e: &Expr, out: &mut VEmit<FOp<f32>>) -> Option<Kind> {
-        match e {
-            Expr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b) => {
-                let ka = self.fuse_f32(a, out)?;
-                let kb = self.fuse_f32(b, out)?;
-                if ka == Kind::Int && kb == Kind::Int {
-                    // The reference would wrap on i64 and round the integer
-                    // result; leave all-integer arithmetic to the integer
-                    // families.
-                    return None;
-                }
-                out.push(
-                    match op {
-                        BinOp::Add => FOp::Add,
-                        BinOp::Sub => FOp::Sub,
-                        BinOp::Mul => FOp::Mul,
-                        BinOp::Div => FOp::Div,
-                        _ => unreachable!("matched above"),
-                    },
-                    -1,
-                );
-                Some(Kind::Float)
-            }
-            Expr::Call(ExternCall::Sqrt, args) if args.len() == 1 => {
-                self.fuse_f32(&args[0], out)?;
-                out.push(FOp::Sqrt, 0);
-                Some(Kind::Float)
-            }
-            _ => self.fuse_f32(e, out),
-        }
-    }
-
-    // -- The `[f64; W/2]` family: lanes are the reference values ------------
-
-    /// Compile `e` onto f64 lanes. The reference evaluator carries floats as
-    /// `f64`, so no rounding discipline exists: every emitted op mirrors the
-    /// reference op bit-for-bit and the lanes hold the reference values by
-    /// construction. Only integer *leaves* need a proof — within
-    /// [`Interval::f64_exact_int_range`] their `i64 → f64` promotion is the
-    /// exact, order-preserving map the reference itself applies in mixed
-    /// arithmetic and comparisons. All-integer arithmetic is still rejected
-    /// (the reference would wrap on `i64`), exactly like the f32 family.
-    fn fuse_f64(&self, e: &Expr, out: &mut VEmit<FOp<f64>>) -> Option<Kind> {
-        match e {
-            Expr::ConstFloat(v, _) => {
-                out.push(FOp::Const(*v), 1);
-                Some(Kind::Float)
-            }
-            // `v as f64` is exactly the promotion the reference performs on
-            // a float-typed integer constant, whatever its magnitude.
-            Expr::ConstInt(v, ty) if ty.is_float() => {
-                out.push(FOp::Const(*v as f64), 1);
-                Some(Kind::Float)
-            }
-            Expr::ConstInt(v, _) => {
-                if !Interval::f64_exact_int_range().contains(*v) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f64), 1);
-                Some(Kind::Int)
-            }
-            Expr::Param(name, _) => match self.params.get(name)? {
-                Value::Int(v) => {
-                    if !Interval::f64_exact_int_range().contains(*v) {
-                        return None;
-                    }
-                    out.push(FOp::Const(*v as f64), 1);
-                    Some(Kind::Int)
-                }
-                Value::Float(f) => {
-                    out.push(FOp::Const(*f), 1);
-                    Some(Kind::Float)
-                }
-            },
-            Expr::Var(name) | Expr::RVar(name) => {
-                let depth = *self.var_depths.get(name)?;
-                let iv = *self.var_bounds.get(name)?;
-                if !iv.within(Interval::f64_exact_int_range()) {
-                    return None;
-                }
-                out.push(FOp::Var(depth), 1);
-                Some(Kind::Int)
-            }
-            // Widening to the reference representation is the identity on
-            // the carried lanes (an int operand promotes exactly, a float
-            // operand already is the f64 value).
-            Expr::Cast(ScalarType::Float64, inner) => {
-                self.fuse_f64(inner, out)?;
-                Some(Kind::Float)
-            }
-            // A `cast<float>` inserts an f32 rounding the f64 lanes cannot
-            // replay; those shapes belong to the `[f32; W]` family. Integer
-            // casts leave the exact domain entirely.
+            // Integer casts leave the exact domain; on lanes that never
+            // round, so does the f32 rounding of a `cast<float>`.
             Expr::Cast(..) => None,
             Expr::Binary(
                 op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Min | BinOp::Max),
                 a,
                 b,
             ) => {
-                let ka = self.fuse_f64(a, out)?;
-                let kb = self.fuse_f64(b, out)?;
+                // Min/max select one exact operand (evaluated per lane like
+                // eval_binop, NaN and ±0.0 included) and need no rounding
+                // point; arithmetic without one would make the lanes diverge
+                // from the f64 reference value.
+                if !rounding && !matches!(op, BinOp::Min | BinOp::Max) {
+                    return None;
+                }
+                let ka = self.fuse_float(a, false, out)?;
+                let kb = self.fuse_float(b, false, out)?;
                 if ka == Kind::Int && kb == Kind::Int {
-                    // The reference would wrap (or min/max) on i64; leave
-                    // all-integer shapes to the integer families.
                     return None;
                 }
                 out.push(
@@ -2158,65 +1770,53 @@ impl FusedBuilder<'_> {
                         BinOp::Mul => FOp::Mul,
                         BinOp::Div => FOp::Div,
                         BinOp::Min => FOp::Min,
-                        BinOp::Max => FOp::Max,
-                        _ => unreachable!("matched above"),
+                        _ => FOp::Max,
                     },
                     -1,
                 );
                 Some(Kind::Float)
             }
-            // Mod (and any op the reference defines on integers only).
+            // Mod and the integer-only ops.
             Expr::Binary(..) => None,
             Expr::Cmp(op, a, b) => {
-                // Exact-range operands compare identically as f64 (the int
-                // promotion is injective and order-preserving; NaN is
-                // unordered in both representations).
-                self.fuse_f64(a, out)?;
-                self.fuse_f64(b, out)?;
+                // Comparison of exact values is order-preserving across
+                // widths (NaN unordered in both), and the 0/1 result is
+                // exact.
+                self.fuse_float(a, false, out)?;
+                self.fuse_float(b, false, out)?;
                 out.push(FOp::Cmp(*op), -1);
                 Some(Kind::Int)
             }
             Expr::Select(c, t, f) => {
-                self.fuse_f64(c, out)?;
-                let kt = self.fuse_f64(t, out)?;
-                let kf = self.fuse_f64(f, out)?;
+                self.fuse_float(c, false, out)?;
+                let kt = self.fuse_float(t, false, out)?;
+                let kf = self.fuse_float(f, false, out)?;
                 if kt != kf {
+                    // Mirror the typed tier, which falls back on dynamically
+                    // typed selects.
                     return None;
                 }
                 out.push(FOp::Sel, -2);
                 Some(kt)
             }
-            // The reference computes sqrt in f64 — mirrored exactly. Other
-            // extern calls stay on the per-op tier.
-            Expr::Call(ExternCall::Sqrt, args) if args.len() == 1 => {
-                self.fuse_f64(&args[0], out)?;
+            // The reference computes sqrt in f64; one lane rounding of it is
+            // exact only at a rounding point. Other extern calls stay on the
+            // per-op tier.
+            Expr::Call(ExternCall::Sqrt, args) if rounding && args.len() == 1 => {
+                self.fuse_float(&args[0], false, out)?;
                 out.push(FOp::Sqrt, 0);
                 Some(Kind::Float)
             }
             Expr::Call(..) => None,
             Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                // f64 loads ARE the reference values; f32 loads widen
-                // exactly; integer loads are exact within ±2^53 (UInt64's
-                // range exceeds it and is rejected by `of_type`).
-                let kind = match ty {
-                    ScalarType::Float64 | ScalarType::Float32 => Kind::Float,
-                    _ => {
-                        let iv = Interval::of_type(ty)?;
-                        if !iv.within(Interval::f64_exact_int_range()) {
-                            return None;
-                        }
-                        Kind::Int
-                    }
+                let (idx, ty) = self.tap(name, args, out)?;
+                // Integer loads are exact when their whole type range is.
+                let kind = if ty.is_float() {
+                    L::loads_exactly(ty).then_some(Kind::Float)?
+                } else {
+                    let exact = Interval::of_type(ty)?.within(L::exact_ints());
+                    exact.then_some(Kind::Int)?
                 };
-                let (dims, lane) = self.tap_dims(args)?;
-                let idx = out.tap(TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                });
                 out.push(FOp::Load(idx), 1);
                 Some(kind)
             }
@@ -2224,35 +1824,142 @@ impl FusedBuilder<'_> {
     }
 }
 
-fn emitted_tap(taps: &[TapAccess], tap: &TapAccess) -> Option<usize> {
-    taps.iter().position(|t| t == tap)
-}
-
-/// Constant carrier of an integer lane family: `i32` for the narrow family,
-/// `i64` for the wide one. Gives the generic [`peephole`] the wrapping
-/// negation it needs to sign-adjust folded coefficients.
-trait LaneConst: Copy + PartialEq {
-    /// Wrapping negation (two's complement).
-    fn wneg(self) -> Self;
-    /// The multiplicative identity (the implicit coefficient of a bare tap).
-    fn one() -> Self;
-}
-
-impl LaneConst for i32 {
-    fn wneg(self) -> Self {
-        self.wrapping_neg()
-    }
-    fn one() -> Self {
-        1
+/// Whether operands in `ia` and `ib` order correctly on `C` lanes compared
+/// as signed (`Some(true)`) or as unsigned (`Some(false)`) values.
+fn signed_order<C: IntFamily>(ia: Interval, ib: Interval) -> Option<bool> {
+    let both = |range| C::proves(ia, range) && C::proves(ib, range);
+    if both(Interval::i32_range()) {
+        Some(true)
+    } else if both(Interval::u32_range()) {
+        Some(false)
+    } else {
+        None
     }
 }
 
-impl LaneConst for i64 {
-    fn wneg(self) -> Self {
-        self.wrapping_neg()
+/// The admissibility rule of an integer lane family: everything
+/// [`FusedBuilder::fuse_int`] needs to know about a family beyond its
+/// wrapping arithmetic.
+trait IntFamily: IntLane {
+    /// Lane width in bits: a shift by at least this many zeroes every lane.
+    const BITS: u32;
+    /// Whether lanes holding a value in `iv` are exact for an op that needs
+    /// the value within `range`.
+    fn proves(iv: Interval, range: Interval) -> bool;
+    /// Emit the lane op of the integer cast to `ty` of a value in `iv`, if
+    /// the lanes need one.
+    fn cast(ty: ScalarType, iv: Interval, out: &mut VEmit<VOp<Self>>);
+    /// The reference range of a `ty` load, `None` when the lanes cannot
+    /// carry it.
+    fn load_range(ty: ScalarType) -> Option<Interval>;
+    /// Tag a finished program with its family.
+    fn program(ops: Vec<VOp<Self>>) -> LaneProgram;
+}
+
+/// `[i32; W]`: lanes hold the low 32 bits of the reference value, so every
+/// value-sensitive op needs an interval proof.
+impl IntFamily for i32 {
+    const BITS: u32 = 32;
+    fn proves(iv: Interval, range: Interval) -> bool {
+        iv.within(range)
     }
-    fn one() -> Self {
-        1
+    /// The 32- and 64-bit casts reinterpret the low 32 bits: no lane op.
+    fn cast(ty: ScalarType, iv: Interval, out: &mut VEmit<VOp<i32>>) {
+        let mask = match ty {
+            ScalarType::UInt8 => 0xff,
+            ScalarType::UInt16 => 0xffff,
+            _ => return,
+        };
+        if !iv.within(Interval::new(0, mask)) {
+            out.push(VOp::Mask(mask as i32), 0);
+        }
+    }
+    fn load_range(ty: ScalarType) -> Option<Interval> {
+        Interval::of_type(ty)
+    }
+    fn program(ops: Vec<VOp<i32>>) -> LaneProgram {
+        LaneProgram::I32(ops)
+    }
+}
+
+/// `[i64; W/2]`: lanes *are* the reference value, so every proof holds and
+/// every cast replays [`Value::cast`].
+impl IntFamily for i64 {
+    const BITS: u32 = 64;
+    fn proves(_: Interval, _: Interval) -> bool {
+        true
+    }
+    fn cast(ty: ScalarType, _: Interval, out: &mut VEmit<VOp<i64>>) {
+        match ty {
+            ScalarType::UInt8 => out.push(VOp::Mask(0xff), 0),
+            ScalarType::UInt16 => out.push(VOp::Mask(0xffff), 0),
+            ScalarType::UInt32 => out.push(VOp::Mask(0xffff_ffff), 0),
+            ScalarType::Int32 => out.push(VOp::Sext32, 0),
+            _ => {}
+        }
+    }
+    fn load_range(ty: ScalarType) -> Option<Interval> {
+        match ty {
+            ScalarType::UInt64 => Some(Interval::everything()),
+            _ => Interval::of_type(ty),
+        }
+    }
+    fn program(ops: Vec<VOp<i64>>) -> LaneProgram {
+        LaneProgram::I64(ops)
+    }
+}
+
+/// The admissibility rule of a float lane family: everything
+/// [`FusedBuilder::fuse_float`] needs to know about a family beyond its IEEE
+/// arithmetic.
+trait FloatFamily: FloatLane {
+    /// Whether the lanes round where the reference does, at `cast<float>`
+    /// points and the store (f32). When false the lanes are the reference
+    /// `f64` values (f64): every context is a rounding point and a
+    /// `cast<float>`, whose rounding the lanes cannot replay, is rejected.
+    const ROUNDS_AT_CASTS: bool;
+    /// Integers the lanes carry exactly.
+    fn exact_ints() -> Interval;
+    /// The lane holding reference value `v`, if it holds it exactly.
+    fn exact(v: f64) -> Option<Self>;
+    /// Whether loads of float type `ty` are exact on these lanes.
+    fn loads_exactly(ty: ScalarType) -> bool;
+    /// Tag a finished program with its family.
+    fn program(ops: Vec<FOp<Self>>) -> LaneProgram;
+}
+
+/// `[f32; W]`: rounding-point discipline.
+impl FloatFamily for f32 {
+    const ROUNDS_AT_CASTS: bool = true;
+    fn exact_ints() -> Interval {
+        Interval::f32_exact_int_range()
+    }
+    fn exact(v: f64) -> Option<f32> {
+        f64_is_f32_exact(v).then_some(v as f32)
+    }
+    fn loads_exactly(ty: ScalarType) -> bool {
+        ty == ScalarType::Float32
+    }
+    fn program(ops: Vec<FOp<f32>>) -> LaneProgram {
+        LaneProgram::F32(ops)
+    }
+}
+
+/// `[f64; W/2]`: the lanes are the reference values; f32 loads widen
+/// exactly.
+impl FloatFamily for f64 {
+    const ROUNDS_AT_CASTS: bool = false;
+    fn exact_ints() -> Interval {
+        Interval::f64_exact_int_range()
+    }
+    fn exact(v: f64) -> Option<f64> {
+        Some(v)
+    }
+    fn loads_exactly(_: ScalarType) -> bool {
+        true
+    }
+    fn program(ops: Vec<FOp<f64>>) -> LaneProgram {
+        LaneProgram::F64(ops)
     }
 }
 
@@ -2264,7 +1971,7 @@ impl LaneConst for i64 {
 /// modulo the lane width (`a - (x + y) = a - x - y`); applies to both
 /// integer lane families (float lanes never fold — a fused multiply-add
 /// would change rounding).
-fn peephole<C: LaneConst>(ops: &mut Vec<VOp<C>>) {
+fn peephole<C: IntLane>(ops: &mut Vec<VOp<C>>) {
     let mut out: Vec<VOp<C>> = Vec::with_capacity(ops.len());
     for op in ops.drain(..) {
         match op {
@@ -2281,7 +1988,7 @@ fn peephole<C: LaneConst>(ops: &mut Vec<VOp<C>>) {
 
 /// If the top stack operand of `out` is an additive chain rooted at a single
 /// `Load`, fold the pending `Add`/`Sub` into it and return `true`.
-fn try_fold_additive<C: LaneConst>(out: &mut Vec<VOp<C>>, negate: bool) -> bool {
+fn try_fold_additive<C: IntLane>(out: &mut Vec<VOp<C>>, negate: bool) -> bool {
     // Walk back over top-modifying additive ops to the operand's push.
     let n = out.len();
     let mut j = n;
@@ -2300,7 +2007,7 @@ fn try_fold_additive<C: LaneConst>(out: &mut Vec<VOp<C>>, negate: bool) -> bool 
     };
     // An optional scale directly after the load; any later MulC scales the
     // accumulated sum and is not additive — reject.
-    let mut coeff = C::one();
+    let mut coeff = C::from_i64(1);
     let mut k = j + 1;
     if let Some(VOp::MulC(c)) = out.get(k) {
         coeff = *c;
@@ -2313,7 +2020,13 @@ fn try_fold_additive<C: LaneConst>(out: &mut Vec<VOp<C>>, negate: bool) -> bool 
         return false;
     }
     // Rewrite: Load [MulC] => Axpy, then sign-adjust the tail.
-    let neg = |c: C| if negate { c.wneg() } else { c };
+    let neg = |c: C| {
+        if negate {
+            C::default().wrapping_sub(c)
+        } else {
+            c
+        }
+    };
     let tail: Vec<VOp<C>> = out.drain(k..).collect();
     out.truncate(j);
     out.push(VOp::Axpy {
@@ -7073,5 +6786,320 @@ mod tests {
         assert!(later.fused_rows >= mid.fused_rows);
         assert!(later.fused_tails >= mid.fused_tails);
         assert!(later.reduce_chunks >= mid.reduce_chunks);
+    }
+
+    /// Every compiled store of `plan` on one line: its fused or reduce lane
+    /// program and taps, or `unfused`.
+    fn lane_programs(plan: &ExecPlan) -> String {
+        let mut text = String::new();
+        for (id, store) in plan.prepared.stores.iter().enumerate() {
+            let Some(store) = store else { continue };
+            let line = match (&store.fused, &store.reduce) {
+                (Some(k), _) => format!("fused {:?} taps {:?}", k.prog, k.taps),
+                (_, Some(k)) => format!("reduce {:?} taps {:?}", k.prog, k.taps),
+                (None, None) => "unfused".to_string(),
+            };
+            text.push_str(&format!("store {id}: {line}\n"));
+        }
+        text
+    }
+
+    /// The lane programs a fixed corpus of stores compiles to, pinned byte
+    /// for byte against `tests/golden/lane_programs.txt`: every lane family,
+    /// the i32 → i64 rescue, reduce kernels, a 17-tap f64 stencil and the
+    /// shapes each family must reject. On a mismatch the actual text is
+    /// written to `target/tmp/lane_programs.txt`.
+    #[test]
+    fn lane_programs_match_golden() {
+        use ScalarType::{Float32, Float64, Int32, UInt16, UInt32, UInt64, UInt8};
+        let u8c = |e: Expr| Expr::cast(UInt8, e);
+        let u64c = |e: Expr| Expr::cast(UInt64, e);
+        let sub = |a: Expr, b: Expr| Expr::bin(BinOp::Sub, a, b);
+        let fc = |v: f64| Expr::ConstFloat(v, Float32);
+        let neg = |e: Expr| u32c(Expr::mul(Expr::int(4294967295), e));
+        let sharpen = u8c(u32c(Expr::bin(
+            BinOp::Shr,
+            u32c(Expr::add(
+                u32c(Expr::add(
+                    u32c(Expr::add(
+                        Expr::int(2),
+                        u32c(Expr::mul(Expr::int(8), tap(1, 1))),
+                    )),
+                    neg(tap(0, 1)),
+                )),
+                neg(tap(2, 1)),
+            )),
+            Expr::uint(2),
+        )));
+        let blur = u8c(Expr::bin(
+            BinOp::Shr,
+            Expr::add(
+                Expr::add(Expr::int(2), Expr::mul(Expr::int(2), tap(1, 1))),
+                Expr::add(tap(0, 1), tap(2, 1)),
+            ),
+            Expr::uint(2),
+        ));
+        let boundary = u8c(Expr::bin(
+            BinOp::Shr,
+            Expr::add(tap(-2, -1), Expr::add(tap(0, 0), tap(3, 2))),
+            Expr::uint(1),
+        ));
+        let ramp = u8c(Expr::add(
+            Expr::mul(Expr::var("x"), Expr::int(3)),
+            u32c(Expr::Image("in".into(), vec![Expr::int(0), Expr::var("y")])),
+        ));
+        let clamp = u8c(Expr::bin(
+            BinOp::Min,
+            Expr::bin(BinOp::Max, sub(tap(1, 0), tap(0, 1)), Expr::int(0)),
+            Expr::int(200),
+        ));
+        let select = u8c(Expr::select(
+            Expr::cmp(CmpOp::Lt, tap(0, 0), Expr::int(128)),
+            Expr::int(255),
+            tap(1, 1),
+        ));
+        let u16_out = Expr::cast(
+            UInt16,
+            Expr::add(Expr::mul(tap(0, 0), Expr::int(257)), Expr::int(1)),
+        );
+        // Values within u32 but not i32: the unsigned compare and min/max.
+        let (wa, wb) = (neg(tap(0, 0)), u32c(Expr::mul(Expr::int(3), tap(1, 0))));
+        let unsigned = u32c(Expr::select(
+            Expr::cmp(CmpOp::Lt, wa.clone(), wb.clone()),
+            Expr::bin(BinOp::Min, wa.clone(), wb),
+            Expr::bin(BinOp::Max, wa, Expr::int(7)),
+        ));
+        let bits = u8c(Expr::add(
+            Expr::bin(
+                BinOp::Xor,
+                Expr::int(0x55),
+                Expr::bin(BinOp::And, tap(1, 0), Expr::int(0xf0)),
+            ),
+            sub(
+                Expr::bin(
+                    BinOp::Or,
+                    Expr::bin(BinOp::Shl, tap(0, 0), Expr::int(3)),
+                    Expr::bin(BinOp::Shr, tap(0, 1), Expr::int(33)),
+                ),
+                sub(
+                    Expr::int(9),
+                    Expr::add(
+                        Expr::bin(BinOp::Shl, tap(1, 1), Expr::int(40)),
+                        Expr::int(0),
+                    ),
+                ),
+            ),
+        ));
+        let int32_out = Expr::cast(
+            Int32,
+            Expr::bin(
+                BinOp::Max,
+                sub(tap(0, 0), Expr::mul(tap(1, 0), Expr::int(3))),
+                Expr::cast(Int32, sub(Expr::int(5), tap(0, 1))),
+            ),
+        );
+        let rescue = u32c(Expr::bin(
+            BinOp::Min,
+            Expr::mul(tap(0, 0), Expr::int(1 << 40)),
+            Expr::int(1 << 41),
+        ));
+        let u64_out = u64c(Expr::add(
+            Expr::mul(tap(0, 0), Expr::int(0x1_0000_0001)),
+            Expr::bin(BinOp::Shl, u64c(tap(1, 1)), Expr::int(33)),
+        ));
+        let t64 = u64c(tap(0, 0));
+        let wide_ops = u64c(Expr::select(
+            Expr::cmp(
+                CmpOp::Gt,
+                Expr::bin(BinOp::Shr, sub(Expr::int(0), t64.clone()), Expr::int(3)),
+                Expr::int(1 << 40),
+            ),
+            Expr::cast(Int32, Expr::mul(t64.clone(), Expr::int(-3))),
+            Expr::bin(
+                BinOp::Max,
+                u8c(Expr::bin(BinOp::Shl, t64.clone(), Expr::int(5))),
+                u32c(Expr::bin(BinOp::Min, t64, Expr::int(-1))),
+            ),
+        ));
+        // A lane ramp beyond i32: only the i64 family may carry it.
+        let wide_ramp = u8c(Expr::add(
+            Expr::mul(Expr::var("x"), Expr::int(3)),
+            tap(0, 0),
+        ));
+        let raw_plus_one = u8c(Expr::add(ftap(0, 0), Expr::int(1)));
+        let f32_smooth = f32c(Expr::add(
+            f32c(Expr::mul(
+                f32c(Expr::add(ftap(-1, 0), ftap(1, 0))),
+                fc((1.0f32 / 12.0) as f64),
+            )),
+            f32c(Expr::mul(ftap(0, 0), fc(0.5))),
+        ));
+        let f32_sensitive = Expr::select(
+            Expr::cmp(CmpOp::Lt, ftap(0, 0), fc(0.0)),
+            f32c(Expr::Call(ExternCall::Sqrt, vec![ftap(1, 1)])),
+            Expr::bin(
+                BinOp::Min,
+                f32c(Expr::bin(BinOp::Div, ftap(1, 0), ftap(0, 1))),
+                Expr::bin(BinOp::Max, ftap(0, 0), fc(-2.5)),
+            ),
+        );
+        let f32_unrounded = f32c(Expr::mul(Expr::add(ftap(-1, 0), ftap(1, 0)), fc(0.5)));
+        let f32_f64_const = f32c(Expr::mul(ftap(0, 0), dconst(0.1)));
+        let f32_cast = f32c(Expr::mul(ftap(0, 0), fc(0.5)));
+        let f32_int_leaves = Expr::add(
+            f32c(Expr::mul(ftap(0, 0), fc(0.25))),
+            Expr::select(
+                Expr::cmp(CmpOp::Ge, ftap(1, 0), Expr::int(128)),
+                Expr::ConstInt(3, Float32),
+                Expr::cast(Float64, Expr::var("x")),
+            ),
+        );
+        let all_int = Expr::add(ftap(0, 0), ftap(1, 1));
+        let f64_smooth = Expr::add(
+            Expr::mul(Expr::add(ftap(-1, 0), ftap(1, 0)), dconst(1.0 / 12.0)),
+            Expr::mul(ftap(0, 0), dconst(0.5)),
+        );
+        let f64_sensitive = Expr::select(
+            Expr::cmp(CmpOp::Lt, ftap(0, 0), dconst(0.0)),
+            Expr::Call(ExternCall::Sqrt, vec![ftap(1, 1)]),
+            Expr::bin(
+                BinOp::Min,
+                Expr::bin(BinOp::Div, ftap(1, 0), ftap(0, 1)),
+                Expr::bin(BinOp::Max, ftap(0, 0), dconst(-2.5)),
+            ),
+        );
+        let f64_mixed = Expr::add(
+            Expr::mul(ftap(0, 0), dconst(0.25)),
+            Expr::mul(Expr::var("x"), dconst(1.5)),
+        );
+        let f64_widen = Expr::add(ftap(0, 0), Expr::cast(Float64, ftap(1, 0)));
+        let f64_mod = Expr::bin(BinOp::Mod, ftap(0, 0), dconst(2.0));
+        let f64_wide = (-2i64..=2)
+            .flat_map(|dy| (-2i64..=2).map(move |dx| (dx, dy)))
+            .take(17)
+            .enumerate()
+            .map(|(k, (dx, dy))| Expr::mul(ftap(dx, dy), dconst(1.0 / (k + 2) as f64)))
+            .reduce(Expr::add)
+            .expect("17 taps");
+        let r_tap = || Expr::Image("in".into(), vec![Expr::RVar("r_0.x".into()), Expr::int(0)]);
+        let reduce_u32 = u32c(Expr::add(
+            Expr::FuncRef("out".into(), vec![Expr::int(0)]),
+            u32c(r_tap()),
+        ));
+        let reduce_self = accum_value(u64c(Expr::FuncRef(
+            "out".into(),
+            vec![Expr::RVar("r_0.x".into())],
+        )));
+        let reduce_float = Expr::add(Expr::FuncRef("out".into(), vec![Expr::int(0)]), r_tap());
+
+        let int = |value: Expr, out: ScalarType| plan_for(nest(19, 5, 8, value), out);
+        let with = |value: Expr, out: ScalarType, input: ScalarType| {
+            plan_with_input(nest(19, 5, 8, value), out, input)
+        };
+        let corpus = [
+            ("i32_sharpen_wraparound", int(sharpen, UInt8)),
+            ("i32_blur_axpy", int(blur, UInt8)),
+            ("i32_boundary_taps", int(boundary, UInt8)),
+            ("i32_ramp_broadcast", int(ramp, UInt8)),
+            ("i32_clamp_min_max", int(clamp, UInt8)),
+            ("i32_select_cmp", int(select, UInt8)),
+            ("i32_u16_output", int(u16_out, UInt16)),
+            ("i32_unsigned_cmp_min_max", int(unsigned, UInt32)),
+            ("i32_bitwise_shifts_consts", int(bits, UInt8)),
+            ("i32_int32_output", int(int32_out, Int32)),
+            (
+                "i32_div_rejected",
+                int(u8c(Expr::bin(BinOp::Div, tap(0, 0), Expr::int(3))), UInt8),
+            ),
+            (
+                "i32_mod_rejected",
+                int(u8c(Expr::bin(BinOp::Mod, tap(0, 0), Expr::int(3))), UInt8),
+            ),
+            (
+                "i32_float_tap_rejected",
+                with(raw_plus_one.clone(), UInt8, Float32),
+            ),
+            ("i64_rescue_unprovable_min", int(rescue, UInt32)),
+            ("i64_rescue_u64_tap", with(raw_plus_one, UInt8, UInt64)),
+            (
+                "i64_rescue_wide_ramp",
+                plan_for(nest(1 << 33, 2, 8, wide_ramp), UInt8),
+            ),
+            ("i64_u64_output", int(u64_out, UInt64)),
+            ("i64_casts_shifts_select", int(wide_ops, UInt64)),
+            ("f32_smooth", with(f32_smooth, Float32, Float32)),
+            ("f32_value_sensitive", with(f32_sensitive, Float32, Float32)),
+            ("f32_int_leaves", with(f32_int_leaves, Float32, UInt8)),
+            (
+                "f32_unrounded_rejected",
+                with(f32_unrounded, Float32, Float32),
+            ),
+            (
+                "f32_f64_const_rejected",
+                with(f32_f64_const, Float32, Float32),
+            ),
+            (
+                "f32_all_int_rejected",
+                with(all_int.clone(), Float32, UInt8),
+            ),
+            (
+                "f64_output_cast_float_rejected",
+                with(f32_cast, Float64, Float32),
+            ),
+            ("f64_smooth", with(f64_smooth, Float64, Float64)),
+            ("f64_value_sensitive", with(f64_sensitive, Float64, Float64)),
+            (
+                "f64_exact_int_leaves",
+                with(f64_mixed.clone(), Float64, UInt8),
+            ),
+            ("f64_widen_f32_taps", with(f64_widen, Float64, Float32)),
+            ("f64_wide_17_taps", with(f64_wide, Float64, Float64)),
+            ("f64_all_int_rejected", with(all_int, Float64, UInt8)),
+            ("f64_u64_taps_rejected", with(f64_mixed, Float64, UInt64)),
+            ("f64_mod_rejected", with(f64_mod, Float64, Float64)),
+            (
+                "reduce_u64_i64",
+                plan_for(reduce_nest(16, accum_value(u64c(r_tap()))), UInt64),
+            ),
+            (
+                "reduce_u32_i32",
+                plan_for(reduce_nest(16, reduce_u32), UInt32),
+            ),
+            (
+                "reduce_self_read_rejected",
+                plan_for(reduce_nest(16, reduce_self), UInt64),
+            ),
+            (
+                "reduce_float_rejected",
+                plan_with_input(reduce_nest(16, reduce_float), Float64, UInt8),
+            ),
+        ];
+        let mut actual = String::new();
+        for (name, plan) in &corpus {
+            actual.push_str(&format!("== {name}\n{}", lane_programs(plan)));
+        }
+        let golden_path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/lane_programs.txt");
+        let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
+        if actual == golden {
+            return;
+        }
+        // The test binary lives in `target/<profile>/deps/`.
+        let exe = std::env::current_exe().expect("test binary path");
+        let dir = exe.ancestors().nth(3).expect("target dir").join("tmp");
+        std::fs::create_dir_all(&dir).expect("create the actual-output directory");
+        let actual_path = dir.join("lane_programs.txt");
+        std::fs::write(&actual_path, &actual).expect("write the actual output");
+        let line = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "lane programs differ from {} at line {} (actual output in {})",
+            golden_path.display(),
+            line + 1,
+            actual_path.display()
+        );
     }
 }
